@@ -32,9 +32,8 @@ type BackendWire = machine.BackendWire
 // paper's meters were built on).
 type SimBackend = machine.SimBackend
 
-// NewSimBackend returns an in-memory mailbox backend; inboxCap caps each
-// rank's mailbox (<= 0 unbounded).
-func NewSimBackend(inboxCap int) *SimBackend { return machine.NewSimBackend(inboxCap) }
+// NewSimBackend returns an in-memory backend of unbounded mailboxes.
+func NewSimBackend() *SimBackend { return machine.NewSimBackend() }
 
 // LoopbackBackend runs all P ranks of one process over real sockets —
 // every packet framed, written to the kernel and decoded back — while the

@@ -174,6 +174,13 @@ func RunRank(opt RankOptions) error {
 					break
 				}
 			}
+			// Leave only together: a body that has returned no longer
+			// services its wire, so a peer whose last message lost its ack
+			// would retransmit into silence forever. Every rank arrives
+			// here only after its own sends were acknowledged, and the
+			// barrier keeps each transport answering retransmissions until
+			// all have.
+			c.Barrier()
 			done = true
 		})
 		if err != nil {

@@ -1,14 +1,13 @@
 // Package collective layers MPI-style collective operations over the
-// machine simulator: All-to-All (both the variable-size form and the
-// fixed-width form whose cost the paper charges in §7.2), all-gather,
-// reduce-scatter, broadcast, and all-reduce, all available on arbitrary
-// process groups (sub-communicators).
+// machine simulator: the fixed-width All-to-All whose cost the paper
+// charges in §7.2, all-gather, reduce-scatter, and all-reduce, all over
+// the world group of every rank.
 //
-// The All-to-All implementations use the P−1-step pairwise-exchange
-// schedule that Thakur et al. describe as bandwidth-optimal — the algorithm
-// the paper's All-to-All analysis assumes. In step r each member sends to
-// the member r positions ahead and receives from the member r positions
-// behind, so every rank sends and receives at most one message per step.
+// The All-to-All uses the P−1-step pairwise-exchange schedule that Thakur
+// et al. describe as bandwidth-optimal — the algorithm the paper's
+// All-to-All analysis assumes. In step r each member sends to the member r
+// positions ahead and receives from the member r positions behind, so
+// every rank sends and receives at most one message per step.
 //
 // Every collective labels the trace events it generates with its operation
 // name (machine.Event.Op), so a recorded trace can attribute each word
@@ -17,43 +16,19 @@ package collective
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/machine"
 )
 
-// Group is a sub-communicator: an ordered subset of machine ranks that
-// participate in a collective together. Every member must construct an
-// equal Group (same ranks) and call the same collectives in the same order.
+// Group is a rank's handle to the world group: every machine rank, in
+// rank order. Every member must call the same collectives in the same
+// order.
 type Group struct {
-	c     *machine.Comm
-	ranks []int // sorted global ranks
-	me    int   // index of c.Rank() in ranks
+	c *machine.Comm
 }
 
-// NewGroup builds this rank's handle to the group consisting of the given
-// global ranks (order-insensitive; duplicates are an error). The calling
-// rank must be a member.
-func NewGroup(c *machine.Comm, ranks []int) (*Group, error) {
-	cp := append([]int(nil), ranks...)
-	sort.Ints(cp)
-	me := -1
-	for i, r := range cp {
-		if i > 0 && cp[i-1] == r {
-			return nil, fmt.Errorf("collective: duplicate rank %d in group", r)
-		}
-		if r < 0 || r >= c.Size() {
-			return nil, fmt.Errorf("collective: rank %d out of range %d", r, c.Size())
-		}
-		if r == c.Rank() {
-			me = i
-		}
-	}
-	if me < 0 {
-		return nil, fmt.Errorf("collective: calling rank %d not in group %v", c.Rank(), cp)
-	}
-	return &Group{c: c, ranks: cp, me: me}, nil
-}
+// World returns the group of all ranks.
+func World(c *machine.Comm) *Group { return &Group{c: c} }
 
 // Comm returns the communicator this group was built over. Callers that
 // cache a Group across machine incarnations compare it against their
@@ -61,113 +36,24 @@ func NewGroup(c *machine.Comm, ranks []int) (*Group, error) {
 // unwind straight into that machine's aborted state.
 func (g *Group) Comm() *machine.Comm { return g.c }
 
-// World returns the group of all ranks.
-func World(c *machine.Comm) *Group {
-	ranks := make([]int, c.Size())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	g, err := NewGroup(c, ranks)
-	if err != nil {
-		panic(err) // unreachable: world membership always holds
-	}
-	return g
-}
-
 // Size returns the number of group members.
-func (g *Group) Size() int { return len(g.ranks) }
+func (g *Group) Size() int { return g.c.Size() }
 
-// GroupRank returns the caller's index within the group.
-func (g *Group) GroupRank() int { return g.me }
-
-// GlobalRank translates a group index to a machine rank.
-func (g *Group) GlobalRank(i int) int { return g.ranks[i] }
-
-// AllToAllV performs a personalized all-to-all exchange: send[i] is
-// delivered to group member i, and the result's slot i holds what member i
-// sent to the caller. send must have length Size(); send[me] is delivered
-// locally without communication (and without being metered). Empty slices
-// skip the wire entirely — only words that are actually needed move, which
-// is what makes this the *optimal* wiring rather than the paper's
-// fixed-width accounting (see AllToAllFixed).
-func (g *Group) AllToAllV(tag int, send [][]float64) [][]float64 {
-	g.c.BeginOp("all-to-all-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: AllToAllV with %d buffers for group of %d", len(send), p))
-	}
-	out := make([][]float64, p)
-	out[g.me] = append([]float64(nil), send[g.me]...)
-	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		if len(send[to]) > 0 {
-			g.c.Send(g.ranks[to], tag, send[to])
-		}
-		if recvNeeded(send, from, g.me) {
-			// The symmetric-schedule property of our use sites (each pair
-			// exchanges equal-shaped data) lets the receiver know whether
-			// a message is coming: member `from` sends to us exactly when
-			// we send to them.
-			out[from] = g.c.Recv(g.ranks[from], tag)
-		}
-	}
-	return out
-}
-
-// recvNeeded reports whether group member `from` will have sent to `me`.
-// AllToAllV requires the exchange pattern to be symmetric: member a sends a
-// nonempty buffer to b exactly when b sends one to a. Both use sites in
-// this repository (vector gather and result scatter of Algorithm 5) have
-// this property by construction.
-func recvNeeded(send [][]float64, from, me int) bool {
-	return len(send[from]) > 0
-}
-
-// AllToAllFixed performs an all-to-all where every ordered pair exchanges
-// exactly width words, padding short buffers and truncating is an error.
-// This is the MPI_Alltoall-style fixed-width collective whose bandwidth the
-// paper charges in §7.2: each of the P−1 steps costs width words even
-// between pairs that share nothing, which is why Algorithm 5 wired this way
-// costs twice the lower bound.
-func (g *Group) AllToAllFixed(tag, width int, send [][]float64) [][]float64 {
-	g.c.BeginOp("all-to-all")
-	defer g.c.EndOp()
-	p := g.Size()
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: AllToAllFixed with %d buffers for group of %d", len(send), p))
-	}
-	padded := make([][]float64, p)
-	for i, s := range send {
-		if len(s) > width {
-			panic(fmt.Sprintf("collective: buffer %d has %d words, width %d", i, len(s), width))
-		}
-		buf := make([]float64, width)
-		copy(buf, s)
-		padded[i] = buf
-	}
-	out := make([][]float64, p)
-	out[g.me] = padded[g.me]
-	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		g.c.Send(g.ranks[to], tag, padded[to])
-		out[from] = g.c.Recv(g.ranks[from], tag)
-	}
-	return out
-}
-
-// AllToAllFixedInto is AllToAllFixed over caller-owned buffers: send[i]
-// and recv[i] must all hold exactly width words (the caller pads once and
+// AllToAllFixedInto performs an all-to-all where every ordered pair
+// exchanges exactly width words over caller-owned buffers: send[i] and
+// recv[i] must all hold exactly width words (the caller pads once and
 // reuses the buffers across calls), and incoming payloads are copied into
 // recv via RecvInto so a steady-state loop performs no allocations. The
-// wire traffic, metering, and trace labeling are identical to
-// AllToAllFixed; the self slot is copied locally without communication.
+// self slot is copied locally without communication.
+//
+// This is the MPI_Alltoall-style fixed-width collective whose bandwidth
+// the paper charges in §7.2: each of the P−1 steps costs width words even
+// between pairs that share nothing, which is why Algorithm 5 wired this
+// way costs twice the lower bound.
 func (g *Group) AllToAllFixedInto(tag, width int, send, recv [][]float64) {
 	g.c.BeginOp("all-to-all")
 	defer g.c.EndOp()
-	p := g.Size()
+	p, me := g.Size(), g.c.Rank()
 	if len(send) != p || len(recv) != p {
 		panic(fmt.Sprintf("collective: AllToAllFixedInto with %d/%d buffers for group of %d", len(send), len(recv), p))
 	}
@@ -176,12 +62,12 @@ func (g *Group) AllToAllFixedInto(tag, width int, send, recv [][]float64) {
 			panic(fmt.Sprintf("collective: AllToAllFixedInto slot %d has %d/%d words, width %d", i, len(send[i]), len(recv[i]), width))
 		}
 	}
-	copy(recv[g.me], send[g.me])
+	copy(recv[me], send[me])
 	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		g.c.Send(g.ranks[to], tag, send[to])
-		g.c.RecvInto(g.ranks[from], tag, recv[from])
+		to := (me + r) % p
+		from := (me - r + p) % p
+		g.c.Send(to, tag, send[to])
+		g.c.RecvInto(from, tag, recv[from])
 	}
 }
 
@@ -190,14 +76,14 @@ func (g *Group) AllToAllFixedInto(tag, width int, send, recv [][]float64) {
 func (g *Group) AllGatherV(tag int, mine []float64) [][]float64 {
 	g.c.BeginOp("all-gather")
 	defer g.c.EndOp()
-	p := g.Size()
+	p, me := g.Size(), g.c.Rank()
 	out := make([][]float64, p)
-	out[g.me] = append([]float64(nil), mine...)
+	out[me] = append([]float64(nil), mine...)
 	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		g.c.Send(g.ranks[to], tag, mine)
-		out[from] = g.c.Recv(g.ranks[from], tag)
+		to := (me + r) % p
+		from := (me - r + p) % p
+		g.c.Send(to, tag, mine)
+		out[from] = g.c.Recv(from, tag)
 	}
 	return out
 }
@@ -209,16 +95,16 @@ func (g *Group) AllGatherV(tag int, mine []float64) [][]float64 {
 func (g *Group) ReduceScatterSum(tag int, contrib [][]float64) []float64 {
 	g.c.BeginOp("reduce-scatter")
 	defer g.c.EndOp()
-	p := g.Size()
+	p, me := g.Size(), g.c.Rank()
 	if len(contrib) != p {
 		panic(fmt.Sprintf("collective: ReduceScatterSum with %d buffers for group of %d", len(contrib), p))
 	}
-	acc := append([]float64(nil), contrib[g.me]...)
+	acc := append([]float64(nil), contrib[me]...)
 	for r := 1; r < p; r++ {
-		to := (g.me + r) % p
-		from := (g.me - r + p) % p
-		g.c.Send(g.ranks[to], tag, contrib[to])
-		in := g.c.Recv(g.ranks[from], tag)
+		to := (me + r) % p
+		from := (me - r + p) % p
+		g.c.Send(to, tag, contrib[to])
+		in := g.c.Recv(from, tag)
 		if len(in) != len(acc) {
 			panic(fmt.Sprintf("collective: ReduceScatterSum shape mismatch: %d vs %d", len(in), len(acc)))
 		}
@@ -229,20 +115,20 @@ func (g *Group) ReduceScatterSum(tag int, contrib [][]float64) []float64 {
 	return acc
 }
 
-// Bcast distributes root's buffer (identified by group index) to all
-// members along a binomial tree (⌈log₂ P⌉ rounds). Non-root callers pass
-// nil and receive the data; root receives a copy of its own buffer.
-func (g *Group) Bcast(tag, root int, data []float64) []float64 {
+// bcast distributes root's buffer to all members along a binomial tree
+// (⌈log₂ P⌉ rounds). Non-root callers pass nil and receive the data; root
+// receives a copy of its own buffer.
+func (g *Group) bcast(tag, root int, data []float64) []float64 {
 	g.c.BeginOp("bcast")
 	defer g.c.EndOp()
 	p := g.Size()
 	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: Bcast root %d of %d", root, p))
+		panic(fmt.Sprintf("collective: bcast root %d of %d", root, p))
 	}
 	// Work in the rotated space where root is 0. Invariant: at the start
 	// of the iteration for a given bit, exactly virtual ranks 0..bit-1
 	// hold the data.
-	vrank := (g.me - root + p) % p
+	vrank := (g.c.Rank() - root + p) % p
 	if vrank == 0 {
 		data = append([]float64(nil), data...)
 	}
@@ -250,24 +136,24 @@ func (g *Group) Bcast(tag, root int, data []float64) []float64 {
 		switch {
 		case vrank < bit:
 			if vrank+bit < p {
-				g.c.Send(g.ranks[(vrank+bit+root)%p], tag, data)
+				g.c.Send((vrank+bit+root)%p, tag, data)
 			}
 		case vrank < 2*bit:
-			data = g.c.Recv(g.ranks[(vrank-bit+root)%p], tag)
+			data = g.c.Recv((vrank-bit+root)%p, tag)
 		}
 	}
 	return data
 }
 
 // AllReduceSum computes the elementwise sum of every member's buffer on all
-// members (reduce to group member 0, then broadcast).
+// members (reduce to rank 0, then broadcast).
 func (g *Group) AllReduceSum(tag int, mine []float64) []float64 {
 	g.c.BeginOp("all-reduce")
 	defer g.c.EndOp()
 	acc := append([]float64(nil), mine...)
-	if g.me == 0 {
+	if g.c.Rank() == 0 {
 		for r := 1; r < g.Size(); r++ {
-			in := g.c.Recv(g.ranks[r], tag)
+			in := g.c.Recv(r, tag)
 			if len(in) != len(acc) {
 				panic(fmt.Sprintf("collective: AllReduceSum shape mismatch: %d vs %d", len(in), len(acc)))
 			}
@@ -276,54 +162,7 @@ func (g *Group) AllReduceSum(tag int, mine []float64) []float64 {
 			}
 		}
 	} else {
-		g.c.Send(g.ranks[0], tag, acc)
+		g.c.Send(0, tag, acc)
 	}
-	return g.Bcast(tag, 0, acc)
-}
-
-// GatherV collects every member's buffer on the root (by group index):
-// the root's result slot i holds member i's mine; non-root callers receive
-// nil.
-func (g *Group) GatherV(tag, root int, mine []float64) [][]float64 {
-	g.c.BeginOp("gather-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: GatherV root %d of %d", root, p))
-	}
-	if g.me != root {
-		g.c.Send(g.ranks[root], tag, mine)
-		return nil
-	}
-	out := make([][]float64, p)
-	out[root] = append([]float64(nil), mine...)
-	for i := 0; i < p; i++ {
-		if i != root {
-			out[i] = g.c.Recv(g.ranks[i], tag)
-		}
-	}
-	return out
-}
-
-// ScatterV distributes root's per-member buffers: member i receives
-// send[i]. Non-root callers pass nil and get their slice.
-func (g *Group) ScatterV(tag, root int, send [][]float64) []float64 {
-	g.c.BeginOp("scatter-v")
-	defer g.c.EndOp()
-	p := g.Size()
-	if root < 0 || root >= p {
-		panic(fmt.Sprintf("collective: ScatterV root %d of %d", root, p))
-	}
-	if g.me != root {
-		return g.c.Recv(g.ranks[root], tag)
-	}
-	if len(send) != p {
-		panic(fmt.Sprintf("collective: ScatterV with %d buffers for group of %d", len(send), p))
-	}
-	for i := 0; i < p; i++ {
-		if i != root {
-			g.c.Send(g.ranks[i], tag, send[i])
-		}
-	}
-	return append([]float64(nil), send[root]...)
+	return g.bcast(tag, 0, acc)
 }

@@ -21,88 +21,36 @@ func run(t *testing.T, p int, body func(c *machine.Comm)) *machine.Report {
 func TestWorldGroup(t *testing.T) {
 	run(t, 5, func(c *machine.Comm) {
 		g := World(c)
-		if g.Size() != 5 || g.GroupRank() != c.Rank() || g.GlobalRank(3) != 3 {
+		if g.Size() != 5 || g.Comm() != c {
 			t.Errorf("world group wrong at rank %d", c.Rank())
 		}
 	})
 }
 
-func TestNewGroupValidation(t *testing.T) {
-	run(t, 4, func(c *machine.Comm) {
-		if c.Rank() != 0 {
-			return
-		}
-		if _, err := NewGroup(c, []int{0, 0, 1}); err == nil {
-			t.Error("duplicate ranks accepted")
-		}
-		if _, err := NewGroup(c, []int{0, 9}); err == nil {
-			t.Error("out-of-range rank accepted")
-		}
-		if _, err := NewGroup(c, []int{1, 2}); err == nil {
-			t.Error("non-member caller accepted")
-		}
-	})
-}
-
-func TestAllToAllV(t *testing.T) {
-	const p = 6
-	run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		for i := range send {
-			// Rank r sends {100r + i} to member i.
-			send[i] = []float64{float64(100*c.Rank() + i)}
-		}
-		got := g.AllToAllV(0, send)
-		for i := range got {
-			want := float64(100*i + c.Rank())
-			if len(got[i]) != 1 || got[i][0] != want {
-				t.Errorf("rank %d slot %d: %v, want %g", c.Rank(), i, got[i], want)
-			}
-		}
-	})
-}
-
-func TestAllToAllVSkipsEmpty(t *testing.T) {
-	// A symmetric sparse pattern: only adjacent even/odd pairs exchange.
-	const p = 4
-	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		peer := c.Rank() ^ 1
-		send[peer] = []float64{float64(c.Rank()), 0, 0}
-		got := g.AllToAllV(0, send)
-		if got[peer][0] != float64(peer) {
-			t.Errorf("rank %d: got %v", c.Rank(), got[peer])
-		}
-		for i := range got {
-			if i != peer && i != c.Rank() && got[i] != nil {
-				t.Errorf("rank %d: unexpected data from %d", c.Rank(), i)
-			}
-		}
-	})
-	// Each rank sent exactly 3 words (one message), not p-1 messages.
-	for r, w := range rep.SentWords {
-		if w != 3 {
-			t.Errorf("rank %d sent %d words, want 3", r, w)
-		}
+// fixedBuffers returns p zeroed width-word buffers — the caller-side
+// padding AllToAllFixedInto expects.
+func fixedBuffers(p, width int) [][]float64 {
+	bufs := make([][]float64, p)
+	for i := range bufs {
+		bufs[i] = make([]float64, width)
 	}
+	return bufs
 }
 
 func TestAllToAllFixedPadsEveryPair(t *testing.T) {
 	const p, width = 5, 4
 	rep := run(t, p, func(c *machine.Comm) {
 		g := World(c)
-		send := make([][]float64, p)
-		send[(c.Rank()+1)%p] = []float64{1} // almost everything empty
-		got := g.AllToAllFixed(0, width, send)
+		send, got := fixedBuffers(p, width), fixedBuffers(p, width)
+		send[(c.Rank()+1)%p][0] = 1 // almost everything padding
+		g.AllToAllFixedInto(0, width, send, got)
 		from := (c.Rank() - 1 + p) % p
 		if got[from][0] != 1 {
 			t.Errorf("rank %d: payload lost", c.Rank())
 		}
 		for i := range got {
-			if len(got[i]) != width {
-				t.Errorf("rank %d slot %d: len %d, want %d", c.Rank(), i, len(got[i]), width)
+			if i != from && got[i][0] != 0 {
+				t.Errorf("rank %d slot %d: %v, want padding", c.Rank(), i, got[i])
 			}
 		}
 	})
@@ -158,7 +106,7 @@ func TestBcast(t *testing.T) {
 				if c.Rank() == root {
 					data = []float64{3, 1, 4}
 				}
-				got := g.Bcast(0, root, data)
+				got := g.bcast(0, root, data)
 				if len(got) != 3 || got[0] != 3 || got[2] != 4 {
 					t.Errorf("p=%d root=%d rank %d: got %v", p, root, c.Rank(), got)
 				}
@@ -187,129 +135,13 @@ func TestAllReduceSum(t *testing.T) {
 	})
 }
 
-func TestSubGroupCollectives(t *testing.T) {
-	// Two disjoint groups run independent collectives concurrently.
-	const p = 8
-	run(t, p, func(c *machine.Comm) {
-		var ranks []int
-		for r := c.Rank() % 2; r < p; r += 2 {
-			ranks = append(ranks, r)
-		}
-		g, err := NewGroup(c, ranks)
-		if err != nil {
-			t.Errorf("rank %d: %v", c.Rank(), err)
-			return
-		}
-		got := g.AllReduceSum(0, []float64{1})
-		if got[0] != float64(p/2) {
-			t.Errorf("rank %d: group sum %g, want %d", c.Rank(), got[0], p/2)
-		}
-	})
-}
-
-func TestOverlappingGroupsSequential(t *testing.T) {
-	// Row-block groups of Algorithm 5 overlap; verify two overlapping
-	// groups can run collectives one after another with distinct tags.
-	const p = 5
-	run(t, p, func(c *machine.Comm) {
-		mk := func(rs []int) *Group {
-			for _, r := range rs {
-				if r == c.Rank() {
-					g, err := NewGroup(c, rs)
-					if err != nil {
-						t.Errorf("%v", err)
-					}
-					return g
-				}
-			}
-			return nil
-		}
-		if g := mk([]int{0, 1, 2, 3}); g != nil {
-			got := g.AllReduceSum(1, []float64{1})
-			if got[0] != 4 {
-				t.Errorf("group A sum %g", got[0])
-			}
-		}
-		c.Barrier()
-		if g := mk([]int{2, 3, 4}); g != nil {
-			got := g.AllReduceSum(2, []float64{1})
-			if got[0] != 3 {
-				t.Errorf("group B sum %g", got[0])
-			}
-		}
-	})
-}
-
-func TestAllToAllVConservation(t *testing.T) {
-	const p = 9
-	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send := make([][]float64, p)
-		for i := range send {
-			send[i] = make([]float64, (c.Rank()+i)%3+1)
-		}
-		g.AllToAllV(0, send)
-	})
-	var sent, recv int64
-	for i := 0; i < p; i++ {
-		sent += rep.SentWords[i]
-		recv += rep.RecvWords[i]
-	}
-	if sent != recv {
-		t.Fatalf("sent %d != recv %d", sent, recv)
-	}
-}
-
 func BenchmarkAllToAllFixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := machine.RunWith(16, machine.RunConfig{Timeout: time.Minute}, func(c *machine.Comm) {
-			g := World(c)
-			send := make([][]float64, 16)
-			g.AllToAllFixed(0, 32, send)
+			World(c).AllToAllFixedInto(0, 32, fixedBuffers(16, 32), fixedBuffers(16, 32))
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestGatherVScatterV(t *testing.T) {
-	const p, root = 5, 2
-	run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		mine := []float64{float64(c.Rank() * 10)}
-		got := g.GatherV(0, root, mine)
-		if c.Rank() == root {
-			for i := 0; i < p; i++ {
-				if len(got[i]) != 1 || got[i][0] != float64(i*10) {
-					t.Errorf("gather slot %d: %v", i, got[i])
-				}
-			}
-			send := make([][]float64, p)
-			for i := range send {
-				send[i] = []float64{float64(i + 100)}
-			}
-			mine2 := g.ScatterV(1, root, send)
-			if mine2[0] != float64(root+100) {
-				t.Errorf("root scatter: %v", mine2)
-			}
-		} else {
-			if got != nil {
-				t.Errorf("non-root gather returned data")
-			}
-			mine2 := g.ScatterV(1, root, nil)
-			if len(mine2) != 1 || mine2[0] != float64(c.Rank()+100) {
-				t.Errorf("rank %d scatter: %v", c.Rank(), mine2)
-			}
-		}
-	})
-}
-
-func TestGatherVBadRootPanics(t *testing.T) {
-	_, err := machine.RunWith(2, machine.RunConfig{Timeout: time.Second}, func(c *machine.Comm) {
-		World(c).GatherV(0, 5, nil)
-	})
-	if err == nil {
-		t.Fatal("bad root accepted")
 	}
 }

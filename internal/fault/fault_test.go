@@ -130,7 +130,8 @@ func reliableRun(t *testing.T, factory machine.TransportFactory) *machine.Report
 	rep, err := machine.RunWith(2, machine.RunConfig{Transport: factory, Timeout: time.Minute}, func(c *machine.Comm) {
 		for i := 0; i < rounds; i++ {
 			payload := []float64{float64(i), float64(c.Rank()), float64(i * 31)}
-			got := c.Exchange(1-c.Rank(), i%3, payload)
+			c.Send(1-c.Rank(), i%3, payload)
+			got := c.Recv(1-c.Rank(), i%3)
 			if len(got) != 3 || got[0] != float64(i) || got[1] != float64(1-c.Rank()) || got[2] != float64(i*31) {
 				t.Errorf("rank %d round %d received %v", c.Rank(), i, got)
 				return

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/machine"
@@ -11,81 +10,49 @@ import (
 // Inject wraps a rank's raw wire endpoint with the plan's fault
 // injectors. Faults fire on the delivery path (the sender's side of the
 // wire), which keeps them deterministic: each rank's deliveries happen in
-// its own program order, and each rank draws from its own PRNG seeded by
-// (Seed, rank). Acks and retransmissions pass through the same injector
-// as first transmissions — recovery traffic is not privileged.
+// its own program order, and each rank draws its decisions from its own
+// Stream — the one the socket chaos layer draws from too. Acks and
+// retransmissions pass through the same injector as first transmissions —
+// recovery traffic is not privileged.
 //
 // An injected wire violates the delivery guarantees the direct transport
 // assumes; pair it with the reliable transport (see Transport) unless the
 // plan is stall-only, the one fault class that preserves delivery.
 func Inject(w machine.Wire, plan Plan) machine.Wire {
+	return injectWith(w, plan, nil)
+}
+
+// injectWith is Inject with the plan's crash faults routed through reg
+// (see NewStream).
+func injectWith(w machine.Wire, plan Plan, reg *CrashRegistry) machine.Wire {
 	if !plan.Active() {
 		return w
 	}
-	return &injector{
-		Wire: w,
-		plan: plan,
-		rng:  rand.New(rand.NewSource(plan.Seed ^ (0x9e3779b97f4a7c * int64(w.Rank()+1)))),
-	}
+	return &injector{Wire: w, stream: NewStream(plan, w.Rank(), reg)}
 }
 
 type injector struct {
 	machine.Wire
-	plan   Plan
-	rng    *rand.Rand
-	ops    int            // Deliver calls so far (crash clock)
-	faults int            // injected faults so far (MaxFaults budget)
-	reg    *CrashRegistry // non-nil: crashes fire once per rank per registry
+	stream *Stream
 	held   *machine.Packet
 }
 
-// budget consumes one fault from the per-rank allowance.
-func (i *injector) budget() bool {
-	if i.plan.MaxFaults > 0 && i.faults >= i.plan.MaxFaults {
-		return false
-	}
-	i.faults++
-	return true
-}
-
 func (i *injector) Deliver(pkt machine.Packet) {
-	i.ops++
-	if at, ok := i.plan.Crash[i.Rank()]; ok && i.ops >= at {
-		if i.reg == nil || i.reg.claim(i.Rank()) {
-			panic(machine.CrashError{Rank: i.Rank(), Op: i.ops})
-		}
+	d := i.stream.Next(pkt.Kind == machine.PacketData && len(pkt.Data) > 0)
+	if d.Crash {
+		panic(machine.CrashError{Rank: i.Rank(), Op: d.Op})
 	}
-	// Draw every decision up front so the random stream advances the
-	// same way regardless of which faults fire.
-	rDrop := i.rng.Float64()
-	rDup := i.rng.Float64()
-	rReorder := i.rng.Float64()
-	rCorrupt := i.rng.Float64()
-	rStall := i.rng.Float64()
-	rReset := i.rng.Float64()
-
-	if rStall < i.plan.Stall && i.budget() {
-		d := i.plan.StallDelay
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		time.Sleep(d)
-	}
+	time.Sleep(d.Stall)
 
 	var out []machine.Packet
-	if rDrop < i.plan.Drop && i.budget() {
-		// Dropped: the packet vanishes before reaching the wire.
-	} else if rReset < i.plan.Reset && i.budget() {
-		// Connection reset: the simulated wire has no connections to tear,
-		// so the packet is simply lost. The socket chaos layer
-		// (internal/netwire) realizes the same plan key as a torn frame
-		// plus a closed connection.
-	} else {
-		if rCorrupt < i.plan.Corrupt && pkt.Kind == machine.PacketData && len(pkt.Data) > 0 && i.budget() {
-			pkt.Data = corrupt(pkt.Data, i.ops)
+	if !d.Drop && !d.Reset {
+		// A dropped packet vanishes before reaching the wire; a reset has
+		// no connection to tear here, so it is simply lost too.
+		if d.Corrupt {
+			pkt.Data = corrupt(pkt.Data, d.Op)
 		}
 		out = append(out, pkt)
-		if rDup < i.plan.Dup && i.budget() {
+		if d.Dup {
 			// The duplicate gets its own payload and must not carry the
 			// Recycle mark: if both copies aliased one poolable buffer, the
 			// receiver could recycle it after the first delivery and the
@@ -98,15 +65,13 @@ func (i *injector) Deliver(pkt machine.Packet) {
 			out = append(out, dup)
 		}
 	}
-	if i.held != nil {
+	if d.Flush {
 		// Deliver the held packet after the current one: the swap is the
-		// reordering. Flushing on every call bounds the delay to one
-		// delivery, so a held packet can never be lost outright.
+		// reordering.
 		out = append(out, *i.held)
 		i.held = nil
-	} else if len(out) == 1 && rReorder < i.plan.Reorder && i.budget() {
-		held := out[0]
-		i.held = &held
+	} else if d.Hold {
+		i.held = &out[0]
 		out = nil
 	}
 	for _, p := range out {

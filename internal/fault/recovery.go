@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/machine"
@@ -32,30 +31,6 @@ func (cr *CrashRegistry) claim(rank int) bool {
 	return true
 }
 
-// Fired lists the ranks whose crash has fired, sorted.
-func (cr *CrashRegistry) Fired() []int {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	out := make([]int, 0, len(cr.fired))
-	for r := range cr.fired {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InjectRecoverable is Inject with the plan's crash faults routed through
-// reg: each rank's crash fires at most once for the registry's lifetime,
-// however many times the rank's transport is rebuilt. A nil reg is plain
-// Inject.
-func InjectRecoverable(w machine.Wire, plan Plan, reg *CrashRegistry) machine.Wire {
-	iw := Inject(w, plan)
-	if i, ok := iw.(*injector); ok {
-		i.reg = reg
-	}
-	return iw
-}
-
 // TransportRecoverable builds the transport factory for a crash-recovery
 // session: the reliable protocol over the plan's injected wire, with all
 // crash faults sharing one registry so a recovered rank stays recovered
@@ -63,6 +38,6 @@ func InjectRecoverable(w machine.Wire, plan Plan, reg *CrashRegistry) machine.Wi
 func TransportRecoverable(plan Plan, opt ReliableOptions) machine.TransportFactory {
 	reg := &CrashRegistry{}
 	return func(w machine.Wire) machine.Transport {
-		return NewReliable(InjectRecoverable(w, plan, reg), opt)
+		return NewReliable(injectWith(w, plan, reg), opt)
 	}
 }

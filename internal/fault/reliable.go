@@ -68,7 +68,7 @@ func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 		nextSeq: make([]int, p),
 		expect:  make([]int, p),
 		parked:  make([]map[int]machine.Packet, p),
-		pending: make(map[[2]int][][]float64),
+		pending: make(map[[2]int][]machine.Packet),
 	}
 	base := seqBase(r.epoch)
 	for i := 0; i < p; i++ {
@@ -103,9 +103,9 @@ type reliable struct {
 	expect []int
 	// parked[from] holds intact packets that arrived ahead of sequence.
 	parked []map[int]machine.Packet
-	// pending holds released payloads not yet consumed by Recv, keyed by
+	// pending holds released packets not yet consumed by Recv, keyed by
 	// [2]int{from, tag}, FIFO per key.
-	pending map[[2]int][][]float64
+	pending map[[2]int][]machine.Packet
 }
 
 func (r *reliable) Send(to, tag int, data []float64) {
@@ -152,14 +152,16 @@ func (r *reliable) Send(to, tag int, data []float64) {
 	}
 }
 
-func (r *reliable) Recv(from, tag int) []float64 {
+// Recv never marks a payload recyclable: the sender's retransmission
+// window may still alias the buffer.
+func (r *reliable) Recv(from, tag int) ([]float64, bool) {
 	key := [2]int{from, tag}
 	for {
 		if q := r.pending[key]; len(q) > 0 {
-			data := q[0]
+			data := q[0].Data
 			r.pending[key] = q[1:]
 			r.publishPending()
-			return data
+			return data, false
 		}
 		in := r.w.Pull()
 		if in.Kind == machine.PacketData && in.Epoch == r.epoch {
@@ -239,7 +241,7 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 
 func (r *reliable) release(pkt machine.Packet) {
 	key := [2]int{pkt.From, pkt.Tag}
-	r.pending[key] = append(r.pending[key], pkt.Data)
+	r.pending[key] = append(r.pending[key], pkt)
 	r.publishPending()
 }
 

@@ -25,6 +25,12 @@ type Backend interface {
 	// Called once per local rank at machine start; the wire stays valid
 	// across rank restarts (SimBackend swaps the mailbox underneath it).
 	NewWire(rank, size int) (BackendWire, error)
+	// ResetRank hands a restarting rank a fresh inbound state
+	// (Handle.RestartRank). SimBackend swaps the rank's mailbox; a
+	// distributed backend returns an error instead — there a dead rank is
+	// a dead OS process, respawned by a process-level supervisor with a
+	// fresh backend of its own.
+	ResetRank(rank int) error
 	// Close releases the backend's resources (sockets, listeners,
 	// goroutines). The machine never calls it — the backend's creator
 	// owns its lifecycle, because one backend may outlive several runs.
@@ -36,9 +42,9 @@ type Backend interface {
 // epoch semantics (the machine decorates those on).
 type BackendWire interface {
 	// Deliver pushes pkt toward pkt.To. It may block on backpressure (a
-	// capped sim mailbox, a full TCP send buffer). Delivery to an
-	// unreachable peer is dropped silently — lossy-close semantics; a
-	// recovery supervisor, not the wire, resolves the resulting stall.
+	// full TCP send buffer). Delivery to an unreachable peer is dropped
+	// silently — lossy-close semantics; a recovery supervisor, not the
+	// wire, resolves the resulting stall.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives. A close
 	// of the abort channel wakes the wait with ok == false.
@@ -50,16 +56,19 @@ type BackendWire interface {
 	Depth() int
 	// Drain discards every buffered packet (epoch rollover).
 	Drain()
-}
-
-// PacketCoster is an optional BackendWire extension that prices a packet
-// for the wire meters. Without it a packet costs len(Data) words — the
-// simulator's accounting. A real-network wire returns the framed size in
-// 8-byte words (header, payload, and frame checksum included), so the
-// Report's wire-vs-logical split measures what actually crossed the
-// socket.
-type PacketCoster interface {
+	// PacketCost prices a packet for the wire meters. The simulator
+	// charges len(Data) words; a real-network wire returns the framed
+	// size in 8-byte words (header, payload, and frame checksum
+	// included), so the Report's wire-vs-logical split measures what
+	// actually crossed the socket.
 	PacketCost(pkt Packet) int64
+	// OnDrop registers a hook for every datagram the wire loses — a send
+	// to a dead peer, a write error, an injected chaos fault. The machine
+	// turns each loss into an EventDrop wire event, so dropped sends are
+	// countable in traces. The hook is called from whatever goroutine
+	// performed the Deliver. A wire that never loses a datagram (the
+	// simulator) ignores it.
+	OnDrop(fn func(pkt Packet, reason string))
 }
 
 // BarrierWire is an optional BackendWire extension required for
@@ -70,59 +79,36 @@ type PacketCoster interface {
 // identifier, identical on all participants and monotonic across epochs).
 // A close of the abort channel — or a remote abort decision — wakes the
 // wait with ok == false; the caller unwinds with the abort sentinel.
+//
+// It stays optional because only a distributed backend's wire has a
+// control plane to count remote arrivals on; StartWith rejects a
+// distributed run whose wires lack it.
 type BarrierWire interface {
 	Barrier(epoch int64, abort <-chan struct{}) (gen int, ok bool)
 }
 
-// DropReporter is an optional BackendWire extension for lossy wires that
-// can tell when they lose a datagram — a send to a dead peer, a write
-// error, an injected chaos fault. The machine registers a hook that turns
-// each loss into an EventDrop wire event, so dropped sends are countable
-// in traces instead of only visible under ad-hoc debug logging. The hook
-// is called from whatever goroutine performed the Deliver.
-type DropReporter interface {
-	OnDrop(fn func(pkt Packet, reason string))
-}
-
-// RankResetter is an optional Backend extension for backends that can
-// hand a restarting rank a fresh inbound state (Handle.RestartRank).
-// SimBackend implements it by swapping the rank's mailbox; a distributed
-// backend typically does not — there a dead rank is a dead OS process,
-// respawned by a process-level supervisor with a fresh backend of its own.
-type RankResetter interface {
-	ResetRank(rank int)
-}
-
-// PacketQueue is an unbounded (or capacity-capped) FIFO packet queue with
-// a single consumer and many producers — the mailbox the simulator runs
-// on, exported so socket backends can reuse it as their inbound queue.
+// PacketQueue is an unbounded FIFO packet queue with a single consumer
+// and many producers — the mailbox the simulator runs on, exported so
+// socket backends can reuse it as their inbound queue.
 // Unlike a fixed-capacity channel it cannot silently deadlock a protocol
 // whose in-flight message count exceeds a preset buffer size; the backing
 // array compacts in place, so a steady-state producer/consumer pair stops
 // allocating once it has grown to the high-water depth.
 type PacketQueue struct {
 	mu     sync.Mutex
-	space  *sync.Cond // producers wait here when capped and full
 	q      []Packet
 	head   int
-	cap    int           // <= 0 means unbounded
 	notify chan struct{} // best-effort consumer wakeup
 }
 
-// NewPacketQueue returns a queue holding at most capacity packets;
-// capacity <= 0 means unbounded.
-func NewPacketQueue(capacity int) *PacketQueue {
-	b := &PacketQueue{cap: capacity, notify: make(chan struct{}, 1)}
-	b.space = sync.NewCond(&b.mu)
-	return b
+// NewPacketQueue returns an empty queue.
+func NewPacketQueue() *PacketQueue {
+	return &PacketQueue{notify: make(chan struct{}, 1)}
 }
 
-// Push appends a packet, blocking while the queue is at capacity.
+// Push appends a packet; it never blocks.
 func (b *PacketQueue) Push(p Packet) {
 	b.mu.Lock()
-	for b.cap > 0 && len(b.q)-b.head >= b.cap {
-		b.space.Wait()
-	}
 	if b.head > 0 && len(b.q) == cap(b.q) {
 		// Reclaim the consumed prefix before growing the array.
 		n := copy(b.q, b.q[b.head:])
@@ -170,7 +156,6 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 				b.q = b.q[:0]
 				b.head = 0
 			}
-			b.space.Signal()
 			b.mu.Unlock()
 			return p, true
 		}
@@ -208,7 +193,6 @@ func (b *PacketQueue) Drain() {
 	}
 	b.q = b.q[:0]
 	b.head = 0
-	b.space.Broadcast()
 	b.mu.Unlock()
 }
 
@@ -224,16 +208,15 @@ func (b *PacketQueue) Depth() int {
 // The zero value is unusable; use NewSimBackend. A SimBackend serves one
 // machine at a time (its mailboxes are sized at the first NewWire).
 type SimBackend struct {
-	inboxCap int
-	mu       sync.Mutex
-	size     int
-	boxes    []atomic.Pointer[PacketQueue]
+	mu    sync.Mutex
+	size  int
+	boxes []atomic.Pointer[PacketQueue]
 }
 
-// NewSimBackend returns an in-memory mailbox backend. inboxCap caps each
-// rank's mailbox (senders block when full); <= 0 means unbounded.
-func NewSimBackend(inboxCap int) *SimBackend {
-	return &SimBackend{inboxCap: inboxCap}
+// NewSimBackend returns an in-memory backend of unbounded mailboxes — no
+// correct protocol can deadlock on mailbox space.
+func NewSimBackend() *SimBackend {
+	return &SimBackend{}
 }
 
 // NewWire returns rank's mailbox endpoint, allocating the mailbox array on
@@ -245,7 +228,7 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 		b.size = size
 		b.boxes = make([]atomic.Pointer[PacketQueue], size)
 		for i := range b.boxes {
-			b.boxes[i].Store(NewPacketQueue(b.inboxCap))
+			b.boxes[i].Store(NewPacketQueue())
 		}
 	}
 	if size != b.size {
@@ -260,13 +243,13 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 // Close is a no-op: mailboxes hold no OS resources.
 func (b *SimBackend) Close() error { return nil }
 
-// ResetRank swaps in a fresh mailbox for a restarting rank (RankResetter).
-// The rank's existing wire picks the new mailbox up on its next Pull, and
-// in-flight Delivers land in whichever mailbox the push resolves — exactly
-// the pre-backend restart semantics (stale packets are epoch-fenced
-// anyway).
-func (b *SimBackend) ResetRank(rank int) {
-	b.boxes[rank].Store(NewPacketQueue(b.inboxCap))
+// ResetRank swaps in a fresh mailbox for a restarting rank. The rank's
+// existing wire picks the new mailbox up on its next Pull, and in-flight
+// Delivers land in whichever mailbox the push resolves (stale packets are
+// epoch-fenced anyway).
+func (b *SimBackend) ResetRank(rank int) error {
+	b.boxes[rank].Store(NewPacketQueue())
+	return nil
 }
 
 func (b *SimBackend) box(rank int) *PacketQueue { return b.boxes[rank].Load() }
@@ -282,47 +265,5 @@ func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.be.box(
 func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.be.box(w.rank).PullTimeout(d) }
 func (w *simWire) Depth() int                                 { return w.be.box(w.rank).Depth() }
 func (w *simWire) Drain()                                     { w.be.box(w.rank).Drain() }
-
-// Cluster binds a machine size and backend into a reusable launcher —
-// the NewWithBackend form of the run API. It exists so callers selecting
-// a backend do it in one place:
-//
-//	cl, _ := machine.NewWithBackend(p, netBackend, machine.RunConfig{...})
-//	rep, err := cl.Run(body)
-//
-// is RunWith with cfg.Backend set; Start is the supervised (Handle) form.
-type Cluster struct {
-	p   int
-	be  Backend
-	cfg RunConfig
-}
-
-// NewWithBackend returns a launcher for P ranks over the given backend
-// (nil selects the in-memory SimBackend) under the base configuration.
-// The cluster does not own the backend: close it after the last run.
-func NewWithBackend(p int, be Backend, cfg RunConfig) (*Cluster, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("machine: P = %d", p)
-	}
-	cfg.Backend = be
-	return &Cluster{p: p, be: be, cfg: cfg}, nil
-}
-
-// Start launches body over the cluster's backend without waiting.
-func (cl *Cluster) Start(body func(c *Comm)) (*Handle, error) {
-	return StartWith(cl.p, cl.cfg, body)
-}
-
-// Run executes body over the cluster's backend and returns the metered
-// report.
-func (cl *Cluster) Run(body func(c *Comm)) (*Report, error) {
-	return RunWith(cl.p, cl.cfg, body)
-}
-
-// Close closes the underlying backend (a no-op for the SimBackend).
-func (cl *Cluster) Close() error {
-	if cl.be == nil {
-		return nil
-	}
-	return cl.be.Close()
-}
+func (w *simWire) PacketCost(pkt Packet) int64                { return int64(len(pkt.Data)) }
+func (w *simWire) OnDrop(func(Packet, string))                {}

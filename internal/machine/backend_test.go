@@ -1,14 +1,15 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestNewWithBackendSim runs a ping over an explicitly-selected SimBackend
-// and checks the report matches the default path exactly.
-func TestNewWithBackendSim(t *testing.T) {
+// TestExplicitSimBackend runs a ping over an explicitly-selected
+// SimBackend and checks the report matches the default path exactly.
+func TestExplicitSimBackend(t *testing.T) {
 	body := func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []float64{1, 2, 3})
@@ -18,12 +19,7 @@ func TestNewWithBackendSim(t *testing.T) {
 			}
 		}
 	}
-	cl, err := NewWithBackend(2, NewSimBackend(0), RunConfig{Timeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	rep, err := cl.Run(body)
+	rep, err := RunWith(2, RunConfig{Timeout: 10 * time.Second, Backend: NewSimBackend()}, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +34,7 @@ func TestNewWithBackendSim(t *testing.T) {
 
 // TestSimBackendSizeMismatch: one SimBackend serves one machine size.
 func TestSimBackendSizeMismatch(t *testing.T) {
-	be := NewSimBackend(0)
+	be := NewSimBackend()
 	if _, err := be.NewWire(0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +46,7 @@ func TestSimBackendSizeMismatch(t *testing.T) {
 // TestPacketQueueAbortWake: a blocked Pull wakes with ok == false when the
 // abort channel closes, and PullTimeout expires on silence.
 func TestPacketQueueAbortWake(t *testing.T) {
-	q := NewPacketQueue(0)
+	q := NewPacketQueue()
 	abort := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
@@ -75,23 +71,41 @@ func TestPacketQueueAbortWake(t *testing.T) {
 	}
 }
 
-// TestRestartRankRequiresResetter: a backend without RankResetter reports
-// a clear error instead of silently reusing a dead rank's queue.
+// TestRestartRankRequiresResetter: a backend that cannot reset a rank
+// in-process surfaces its ResetRank error instead of silently reusing a
+// dead rank's queue.
 func TestRestartRankRequiresResetter(t *testing.T) {
-	h, err := StartWith(1, RunConfig{Backend: fixedBackend{NewSimBackend(0)}}, func(c *Comm) {})
+	h, err := StartWith(1, RunConfig{Backend: fixedBackend{NewSimBackend()}}, func(c *Comm) { panic("boom") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
+	if _, err := h.Wait(); err == nil {
+		t.Fatal("crashed rank reported no error")
 	}
 	if err := h.RestartRank(0); err == nil || !strings.Contains(err.Error(), "cannot reset") {
 		t.Errorf("want resetter error, got %v", err)
 	}
 }
 
-// fixedBackend hides SimBackend's RankResetter implementation.
+// TestDistributedRunRequiresBarrierWire: a distributed run (fewer local
+// ranks than P) over a backend whose wires cannot barrier is rejected at
+// start, not left to panic at the first Comm.Barrier.
+func TestDistributedRunRequiresBarrierWire(t *testing.T) {
+	h, err := StartWith(2, RunConfig{Backend: NewSimBackend(), LocalRanks: []int{0}}, func(c *Comm) { c.Barrier() })
+	if err == nil {
+		_, werr := h.Wait()
+		t.Fatalf("distributed start over a barrier-less backend accepted (run error: %v)", werr)
+	}
+	if !strings.Contains(err.Error(), "BarrierWire") {
+		t.Errorf("want a BarrierWire error, got %v", err)
+	}
+}
+
+// fixedBackend is a SimBackend that cannot reset ranks in-process.
 type fixedBackend struct{ be *SimBackend }
 
 func (f fixedBackend) NewWire(rank, size int) (BackendWire, error) { return f.be.NewWire(rank, size) }
-func (f fixedBackend) Close() error                                { return f.be.Close() }
+func (f fixedBackend) ResetRank(rank int) error {
+	return fmt.Errorf("fixedBackend cannot reset rank %d in-process", rank)
+}
+func (f fixedBackend) Close() error { return f.be.Close() }

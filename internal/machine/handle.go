@@ -57,7 +57,7 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		be, owned = b, b
 	}
 	if be == nil {
-		be = NewSimBackend(cfg.InboxCap)
+		be = NewSimBackend()
 	}
 	locals := cfg.LocalRanks
 	if locals == nil {
@@ -82,7 +82,7 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 	m := &Machine{
 		p:           p,
 		be:          be,
-		raws:        make([]BackendWire, p),
+		links:       make([]*link, p),
 		localRanks:  append([]int(nil), locals...),
 		isLocal:     isLocal,
 		distributed: len(locals) < p,
@@ -102,13 +102,18 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 	m.epoch.Store(cfg.StartEpoch)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)
+		if err == nil {
+			m.links[r] = newLink(m, r, w)
+			if m.distributed && m.links[r].bw == nil {
+				err = fmt.Errorf("machine: distributed run (%d of %d ranks local) over %T, which provides no BarrierWire", len(locals), p, w)
+			}
+		}
 		if err != nil {
 			if owned != nil {
 				owned.Close()
 			}
 			return nil, err
 		}
-		m.raws[r] = w
 	}
 	factory := cfg.Transport
 	if factory == nil {
@@ -161,8 +166,8 @@ func (h *Handle) runRank(rank int) {
 	}()
 	m := h.m
 	d := &m.diags[rank]
-	w := Wire(newLink(m, rank, m.raws[rank]))
-	tp := h.factory(w)
+	c := &Comm{m: m, rank: rank, diag: d, l: m.links[rank], factory: h.factory}
+	c.bind(h.factory(c.l))
 	var panicVal any
 	panicked := func() (panicked bool) {
 		defer h.bodies.Done()
@@ -173,7 +178,7 @@ func (h *Handle) runRank(rank int) {
 				panicked = true
 			}
 		}()
-		h.body(&Comm{m: m, rank: rank, t: tp, diag: d, w: w, factory: h.factory})
+		h.body(c)
 		return false
 	}()
 	if panicked {
@@ -183,8 +188,8 @@ func (h *Handle) runRank(rank int) {
 		return
 	}
 	d.setDone()
-	if idler, ok := tp.(Idler); ok {
-		idler.Linger(h.stopLinger)
+	if c.idler != nil {
+		c.idler.Linger(h.stopLinger)
 	}
 }
 
@@ -299,7 +304,7 @@ func (h *Handle) BeginEpoch() int64 {
 	m.abortMu.Unlock()
 	m.barrier.reset()
 	for _, r := range m.localRanks {
-		m.raws[r].Drain()
+		m.links[r].raw.Drain()
 		st := &m.obsState[r]
 		st.phase = ""
 		st.op = ""
@@ -312,9 +317,10 @@ func (h *Handle) BeginEpoch() int64 {
 // fresh transport state, clearing its recorded panic so the eventual
 // Wait does not resurrect an already-recovered crash. Call between
 // BeginEpoch and the replay dispatch; the respawned body starts in the
-// new epoch, parks, and sees no need to Rebind. The backend must be a
-// RankResetter (SimBackend is); a socket backend's ranks are OS
-// processes, restarted by the cluster supervisor, not here.
+// new epoch, parks, and sees no need to Rebind. The backend must be able
+// to reset the rank in-process (SimBackend and the socket loopback can);
+// a distributed backend's ranks are OS processes, restarted by the
+// cluster supervisor, and its ResetRank error is returned here.
 func (h *Handle) RestartRank(rank int) error {
 	if rank < 0 || rank >= h.m.p {
 		return fmt.Errorf("machine: restart of rank %d of %d", rank, h.m.p)
@@ -322,15 +328,13 @@ func (h *Handle) RestartRank(rank int) error {
 	if !h.m.isLocal[rank] {
 		return fmt.Errorf("machine: restart of remote rank %d", rank)
 	}
-	rr, ok := h.m.be.(RankResetter)
-	if !ok {
-		return fmt.Errorf("machine: backend %T cannot reset a rank in-process; respawn the rank's process instead", h.m.be)
-	}
 	kind, _, _, _ := h.m.diags[rank].snapshot()
 	if kind != BlockCrashed {
 		return fmt.Errorf("machine: restart of rank %d in state %v (want crashed)", rank, kind)
 	}
-	rr.ResetRank(rank)
+	if err := h.m.be.ResetRank(rank); err != nil {
+		return err
+	}
 	h.m.diags[rank].reset()
 	// A crashed rank's goroutine has fully exited, so alive is strictly
 	// below P here, and the parked survivors keep it above zero — the
@@ -345,15 +349,7 @@ func (h *Handle) RestartRank(rank int) error {
 // the whole machine dead (unlike Comm.Meters, no live rank goroutine is
 // needed, which is what the degraded-relaunch path relies on to carry
 // counters across machines).
-func (h *Handle) RankMeters(rank int) Meters {
-	m := h.m
-	return Meters{
-		SentWords: m.sent[rank].words.Load(), RecvWords: m.recv[rank].words.Load(),
-		SentMsgs: m.sent[rank].msgs.Load(), RecvMsgs: m.recv[rank].msgs.Load(),
-		WireSentWords: m.wireSent[rank].words.Load(), WireRecvWords: m.wireRecv[rank].words.Load(),
-		WireSentMsgs: m.wireSent[rank].msgs.Load(), WireRecvMsgs: m.wireRecv[rank].msgs.Load(),
-	}
-}
+func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 
 // RestoreMeters overwrites one rank's logical counters with mt — the
 // rollback that makes logical meters count committed work exactly once.

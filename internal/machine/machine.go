@@ -11,7 +11,7 @@
 // endpoints.
 //
 // The package is layered: logical point-to-point Send/Recv with tags (plus
-// a combined Exchange, barriers, and per-rank counters) ride on a pluggable
+// barriers and per-rank counters) ride on a pluggable
 // Transport over a raw packet Wire. The default direct transport maps one
 // logical message to one packet on the perfect simulated network; package
 // fault perturbs the wire (drop/duplicate/reorder/corrupt/stall/crash) and
@@ -31,15 +31,15 @@ import (
 // Machine is the shared state of one simulated run.
 type Machine struct {
 	p           int
-	be          Backend       // packet layer (SimBackend unless configured)
-	raws        []BackendWire // per-rank raw endpoints; nil for remote ranks
-	localRanks  []int         // ranks running in this process, ascending
-	isLocal     []bool        // indexed by rank
-	distributed bool          // len(localRanks) < p: peers live in other processes
-	sent        []counter     // logical, metered at Send
-	recv        []counter     // logical, metered at Recv
-	wireSent    []counter     // raw packets pushed, retransmits and acks included
-	wireRecv    []counter     // raw packets pulled
+	be          Backend   // packet layer (SimBackend unless configured)
+	links       []*link   // per-rank wires over the backend; nil for remote ranks
+	localRanks  []int     // ranks running in this process, ascending
+	isLocal     []bool    // indexed by rank
+	distributed bool      // len(localRanks) < p: peers live in other processes
+	sent        []counter // logical, metered at Send
+	recv        []counter // logical, metered at Recv
+	wireSent    []counter // raw packets pushed, retransmits and acks included
+	wireRecv    []counter // raw packets pulled
 	barrier     *barrier
 	observer    func(Event)
 	wireEvents  bool
@@ -124,9 +124,19 @@ type Comm struct {
 	m       *Machine
 	rank    int
 	t       Transport
+	idler   Idler        // t's Idler side; nil when t has none
+	adopter EpochAdopter // t's EpochAdopter side; nil when t has none
 	diag    *rankDiag
-	w       Wire             // raw endpoint, retained for Rebind
+	l       *link            // the rank's Wire, retained for Rebind
 	factory TransportFactory // retained for Rebind
+}
+
+// bind installs t as this rank's transport, resolving its optional
+// extensions once instead of at every Barrier, AwaitHost and Refence.
+func (c *Comm) bind(t Transport) {
+	c.t = t
+	c.idler, _ = t.(Idler)
+	c.adopter, _ = t.(EpochAdopter)
 }
 
 // Rank returns this processor's id in 0..P-1.
@@ -147,7 +157,7 @@ func (c *Comm) Epoch() int64 { return c.m.epoch.Load() }
 // that were rolled back, and a respawned peer starts from fresh protocol
 // state, so the two would disagree forever without the rebind.
 func (c *Comm) Rebind() {
-	c.t = c.factory(c.w)
+	c.bind(c.factory(c.l))
 }
 
 // Refence moves this rank's transport into the current epoch with
@@ -159,8 +169,8 @@ func (c *Comm) Rebind() {
 // epoch change even with an empty reset list, because a transport left
 // on the old epoch ignores all new-epoch traffic.
 func (c *Comm) Refence(resetPeers []int) bool {
-	if a, ok := c.t.(EpochAdopter); ok {
-		a.AdoptEpoch(c.m.epoch.Load(), resetPeers)
+	if c.adopter != nil {
+		c.adopter.AdoptEpoch(c.m.epoch.Load(), resetPeers)
 		return true
 	}
 	c.Rebind()
@@ -196,7 +206,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 func (c *Comm) Recv(from, tag int) []float64 {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockRecv, from, tag)
-	data := c.t.Recv(from, tag)
+	data, _ := c.t.Recv(from, tag)
 	c.diag.setRunning()
 	c.m.recv[c.rank].add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
@@ -218,13 +228,7 @@ func (c *Comm) Recv(from, tag int) []float64 {
 func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 	c.m.checkAbort()
 	c.diag.setBlocked(BlockRecv, from, tag)
-	var data []float64
-	recycle := false
-	if pr, ok := c.t.(PayloadReceiver); ok {
-		data, recycle = pr.RecvPayload(from, tag)
-	} else {
-		data = c.t.Recv(from, tag)
-	}
+	data, recycle := c.t.Recv(from, tag)
 	c.diag.setRunning()
 	if len(data) > len(dst) {
 		panic(fmt.Sprintf("machine: rank %d RecvInto(%d, %d): payload %d words, buffer %d",
@@ -238,14 +242,6 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 	}
 	c.m.progress.Add(1)
 	return len(data)
-}
-
-// Exchange sends data to peer and receives peer's message with the same
-// tag — the bidirectional-link primitive of the model (a processor can
-// send and receive one message at the same time).
-func (c *Comm) Exchange(peer, tag int, data []float64) []float64 {
-	c.Send(peer, tag, data)
-	return c.Recv(peer, tag)
 }
 
 // Barrier blocks until all P ranks have entered it. A transport that
@@ -265,18 +261,11 @@ func (c *Comm) Barrier() {
 	c.diag.setBlocked(BlockBarrier, -1, -1)
 	var gen int
 	if c.m.distributed {
-		l, ok := c.w.(*link)
-		if !ok {
-			panic("machine: distributed barrier over a non-link wire")
-		}
-		bw, ok := l.barrier()
-		if !ok {
-			panic(fmt.Sprintf("machine: distributed run over %T, which provides no BarrierWire", l.raw))
-		}
+		bw := c.l.bw // non-nil: StartWith rejects distributed runs without one
 		epoch, abort := c.m.epoch.Load(), c.m.abortChan()
 		var g int
 		var bok bool
-		if idler, ok := c.t.(Idler); ok {
+		if c.idler != nil {
 			// BarrierWire.Barrier blocks on the control plane only, so it
 			// is safe off the rank goroutine; the rank goroutine itself
 			// keeps servicing the data plane (acks, dedup) until release.
@@ -286,7 +275,7 @@ func (c *Comm) Barrier() {
 				defer close(done)
 				g, bok = bw.Barrier(epoch, abort)
 			}()
-			idler.Idle(done)
+			c.idler.Idle(done)
 		} else {
 			g, bok = bw.Barrier(epoch, abort)
 		}
@@ -294,9 +283,9 @@ func (c *Comm) Barrier() {
 			panic(abortPanic{})
 		}
 		gen = g
-	} else if idler, ok := c.t.(Idler); ok {
+	} else if c.idler != nil {
 		ch, g := c.m.barrier.arriveChan()
-		idler.Idle(ch)
+		c.idler.Idle(ch)
 		// An abort closes the release channel early; a barrier that
 		// happened to complete at the same moment is retried with the rest
 		// of the operation, which is harmless — the replay reruns it.
@@ -326,13 +315,13 @@ func (c *Comm) Barrier() {
 // quiet the moment its own part completed would stall them forever.
 func (c *Comm) AwaitHost(wait func()) {
 	c.diag.parkForHost()
-	if idler, ok := c.t.(Idler); ok {
+	if c.idler != nil {
 		stop := make(chan struct{})
 		go func() {
 			wait()
 			close(stop)
 		}()
-		idler.Idle(stop)
+		c.idler.Idle(stop)
 	} else {
 		wait()
 	}
@@ -359,13 +348,16 @@ func (m Meters) Sub(o Meters) Meters {
 }
 
 // Meters returns this rank's current counter snapshot.
-func (c *Comm) Meters() Meters {
-	r := c.rank
+func (c *Comm) Meters() Meters { return c.m.meters(c.rank) }
+
+// meters reads one rank's eight counters — the single read path behind
+// Comm.Meters, Handle.RankMeters and the run Report.
+func (m *Machine) meters(r int) Meters {
 	return Meters{
-		SentWords: c.m.sent[r].words.Load(), RecvWords: c.m.recv[r].words.Load(),
-		SentMsgs: c.m.sent[r].msgs.Load(), RecvMsgs: c.m.recv[r].msgs.Load(),
-		WireSentWords: c.m.wireSent[r].words.Load(), WireRecvWords: c.m.wireRecv[r].words.Load(),
-		WireSentMsgs: c.m.wireSent[r].msgs.Load(), WireRecvMsgs: c.m.wireRecv[r].msgs.Load(),
+		SentWords: m.sent[r].words.Load(), RecvWords: m.recv[r].words.Load(),
+		SentMsgs: m.sent[r].msgs.Load(), RecvMsgs: m.recv[r].msgs.Load(),
+		WireSentWords: m.wireSent[r].words.Load(), WireRecvWords: m.wireRecv[r].words.Load(),
+		WireSentMsgs: m.wireSent[r].msgs.Load(), WireRecvMsgs: m.wireRecv[r].msgs.Load(),
 	}
 }
 
@@ -380,10 +372,6 @@ func (c *Comm) SentMsgs() int64 { return c.m.sent[c.rank].msgs.Load() }
 
 // RecvMsgs returns the number of messages this rank has received so far.
 func (c *Comm) RecvMsgs() int64 { return c.m.recv[c.rank].msgs.Load() }
-
-// WireSentWords returns the raw words this rank has pushed onto the wire
-// so far, retransmissions included.
-func (c *Comm) WireSentWords() int64 { return c.m.wireSent[c.rank].words.Load() }
 
 // barrier is a reusable counting barrier with two wait paths: a
 // condition-variable path for plain transports (no allocation per
@@ -513,12 +501,6 @@ type RunConfig struct {
 	// Transport builds each rank's transport; nil selects the direct
 	// transport (exact in-order delivery, no protocol overhead).
 	Transport TransportFactory
-	// InboxCap caps each rank's mailbox; a sender delivering to a full
-	// mailbox blocks until the receiver drains it. Zero or negative
-	// means unbounded (the default) — no correct protocol can deadlock
-	// on mailbox space. Applies to the default SimBackend only; an
-	// explicit Backend brings its own buffering policy.
-	InboxCap int
 	// Backend supplies the raw packet layer; nil selects the in-memory
 	// SimBackend. See internal/netwire for TCP and unix-socket backends.
 	// The machine does not close the backend — its creator does.
@@ -554,7 +536,7 @@ type RunConfig struct {
 
 // RunWith is the single run entry point: it executes body on P simulated
 // processors under the given configuration (transport selection, stall
-// watchdog, trace observer, mailbox capacity) and returns the metered
+// watchdog, trace observer, backend) and returns the metered
 // report. It is StartWith followed by Wait; callers that supervise the
 // run — restarting crashed ranks, rolling epochs — use the Handle form
 // directly (see handle.go).
@@ -581,14 +563,11 @@ func (m *Machine) reportNow() *Report {
 		WireRecvMsgs:  make([]int64, p),
 	}
 	for i := 0; i < p; i++ {
-		rep.SentWords[i] = m.sent[i].words.Load()
-		rep.RecvWords[i] = m.recv[i].words.Load()
-		rep.SentMsgs[i] = m.sent[i].msgs.Load()
-		rep.RecvMsgs[i] = m.recv[i].msgs.Load()
-		rep.WireSentWords[i] = m.wireSent[i].words.Load()
-		rep.WireRecvWords[i] = m.wireRecv[i].words.Load()
-		rep.WireSentMsgs[i] = m.wireSent[i].msgs.Load()
-		rep.WireRecvMsgs[i] = m.wireRecv[i].msgs.Load()
+		mt := m.meters(i)
+		rep.SentWords[i], rep.RecvWords[i] = mt.SentWords, mt.RecvWords
+		rep.SentMsgs[i], rep.RecvMsgs[i] = mt.SentMsgs, mt.RecvMsgs
+		rep.WireSentWords[i], rep.WireRecvWords[i] = mt.WireSentWords, mt.WireRecvWords
+		rep.WireSentMsgs[i], rep.WireRecvMsgs[i] = mt.WireSentMsgs, mt.WireRecvMsgs
 	}
 	return rep
 }
@@ -679,7 +658,7 @@ func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 			Kind:         kind,
 			Peer:         peer,
 			Tag:          tag,
-			InboxPackets: m.raws[r].Depth(),
+			InboxPackets: m.links[r].raw.Depth(),
 			Pending:      pending,
 		})
 	}

@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -34,12 +35,12 @@ func TestRunWithEntryPoint(t *testing.T) {
 	if rep, err := RunWith(2, RunConfig{Timeout: time.Second}, body); err != nil || rep.SentWords[0] != 2 {
 		t.Errorf("RunWith timeout: rep %v err %v", rep, err)
 	}
-	var tr Trace
-	if rep, err := RunWith(2, RunConfig{Timeout: time.Second, Observer: tr.Observer()}, body); err != nil || rep.SentWords[0] != 2 {
+	var tr sendLog
+	if rep, err := RunWith(2, RunConfig{Timeout: time.Second, Observer: tr.observe}, body); err != nil || rep.SentWords[0] != 2 {
 		t.Errorf("RunWith traced: rep %v err %v", rep, err)
 	}
-	if len(tr.Sends()) != 1 {
-		t.Errorf("RunWith observer saw %d sends, want 1", len(tr.Sends()))
+	if len(tr.sends()) != 1 {
+		t.Errorf("RunWith observer saw %d sends, want 1", len(tr.sends()))
 	}
 }
 
@@ -123,7 +124,7 @@ func TestFIFOPerSenderTag(t *testing.T) {
 func TestExchange(t *testing.T) {
 	rep := mustRun(t, 4, func(c *Comm) {
 		peer := c.Rank() ^ 1
-		got := c.Exchange(peer, 0, []float64{float64(c.Rank())})
+		got := exchange(c, peer, 0, []float64{float64(c.Rank())})
 		if got[0] != float64(peer) {
 			t.Errorf("rank %d exchanged, got %v", c.Rank(), got)
 		}
@@ -301,7 +302,36 @@ func BenchmarkExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustRun(b, 8, func(c *Comm) {
 			peer := c.Rank() ^ 1
-			c.Exchange(peer, 0, make([]float64, 64))
+			exchange(c, peer, 0, make([]float64, 64))
 		})
 	}
+}
+
+// exchange sends data to peer and receives peer's message on the same tag
+// — the bidirectional-link primitive of the model.
+func exchange(c *Comm, peer, tag int, data []float64) []float64 {
+	c.Send(peer, tag, data)
+	return c.Recv(peer, tag)
+}
+
+// sendLog collects the logical send events of a run; its observe method
+// is safe for concurrent use by every rank's goroutine.
+type sendLog struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (l *sendLog) observe(e Event) {
+	if e.Kind != EventSend || e.Wire {
+		return
+	}
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+func (l *sendLog) sends() []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Event(nil), l.events...)
 }

@@ -67,8 +67,7 @@ type Wire interface {
 	// Size returns P.
 	Size() int
 	// Deliver pushes pkt into the mailbox of pkt.To, metering wire words
-	// and messages at the sender. It blocks while the destination mailbox
-	// is at capacity (only possible with a finite InboxCap).
+	// and messages at the sender.
 	Deliver(pkt Packet)
 	// Pull blocks until a packet addressed to this rank arrives and
 	// returns it, metering wire words at the receiver.
@@ -100,23 +99,16 @@ type Wire interface {
 // that preserves logical semantics over a faulty wire.
 type Transport interface {
 	Send(to, tag int, data []float64)
-	Recv(from, tag int) []float64
+	// Recv blocks for the next message from (from, tag) and reports
+	// whether its buffer may be recycled into the machine's payload pool
+	// once the caller has copied it out (Comm.RecvInto). A transport that
+	// retains or re-delivers payloads must return recycle == false.
+	Recv(from, tag int) (data []float64, recycle bool)
 }
 
 // TransportFactory builds one rank's transport around its raw wire
 // endpoint. It is called once per rank, from that rank's goroutine.
 type TransportFactory func(w Wire) Transport
-
-// PayloadReceiver is an optional Transport extension that exposes payload
-// buffer provenance: RecvPayload behaves like Recv but additionally
-// reports whether the returned buffer may be recycled into the machine's
-// payload pool once the caller has copied it out. Comm.RecvInto uses it;
-// transports that retain or re-deliver payloads must either not implement
-// it or return recycle == false.
-type PayloadReceiver interface {
-	Transport
-	RecvPayload(from, tag int) (data []float64, recycle bool)
-}
 
 // EpochAdopter is an optional Transport extension for protocols that can
 // carry their sequence state across a recovery epoch instead of being
@@ -132,6 +124,9 @@ type PayloadReceiver interface {
 // of disturbed pairs and hands each rank its side of it. A transport that
 // resets a pair unilaterally while the peer keeps counting would either
 // dedup-drop real messages or park them forever.
+//
+// It stays optional, like Idler, because only the reliable transport has
+// protocol state to carry; the direct transport is simply rebuilt.
 type EpochAdopter interface {
 	Transport
 	AdoptEpoch(epoch int64, resetPeers []int)
@@ -142,6 +137,10 @@ type EpochAdopter interface {
 // reliable (ack-based) transport needs both hooks: without them, a lost
 // acknowledgement strands the sender once the receiver stops pulling its
 // mailbox — at a barrier, or after its body returns.
+//
+// It stays optional because the direct transport has nothing to service:
+// forcing an Idle on it would move its barrier off the allocation-free
+// condition-variable path onto the release-channel one.
 type Idler interface {
 	Transport
 	// Idle services incoming packets in full until stop is closed; the
@@ -164,21 +163,17 @@ type link struct {
 	m    *Machine
 	rank int
 	raw  BackendWire
-	cost func(Packet) int64 // wire-meter pricing (PacketCoster or payload words)
+	bw   BarrierWire // raw's distributed barrier; nil when it has none
 }
 
 func newLink(m *Machine, rank int, raw BackendWire) *link {
 	l := &link{m: m, rank: rank, raw: raw}
-	if pc, ok := raw.(PacketCoster); ok {
-		l.cost = pc.PacketCost
-	} else {
-		l.cost = func(pkt Packet) int64 { return int64(len(pkt.Data)) }
-	}
-	if dr, ok := raw.(DropReporter); ok && m.wireEvents {
+	l.bw, _ = raw.(BarrierWire)
+	if m.wireEvents {
 		// Promote the wire's loss reports into the structured event
 		// stream: one EventDrop per lost datagram. Wire-only — drops never
 		// touch the logical meters the paper's bounds are checked against.
-		dr.OnDrop(func(pkt Packet, reason string) {
+		raw.OnDrop(func(pkt Packet, reason string) {
 			m.emit(rank, Event{Kind: EventDrop, From: rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		})
 	}
@@ -193,7 +188,7 @@ func (l *link) Deliver(pkt Packet) {
 		panic(fmt.Sprintf("machine: deliver to rank %d of %d", pkt.To, l.m.p))
 	}
 	pkt.Epoch = l.m.epoch.Load()
-	l.m.wireSent[l.rank].add(l.cost(pkt))
+	l.m.wireSent[l.rank].add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
 		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 	}
@@ -212,7 +207,7 @@ func (l *link) Pull() Packet {
 		if pkt.Epoch != l.m.epoch.Load() {
 			continue // stale retransmission from a pre-recovery epoch
 		}
-		l.m.wireRecv[l.rank].add(l.cost(pkt))
+		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -229,7 +224,7 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 		return Packet{}, false
 	}
 	if ok {
-		l.m.wireRecv[l.rank].add(l.cost(pkt))
+		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -245,34 +240,20 @@ func (l *link) Pending(entries []PendingEntry) {
 	l.m.diags[l.rank].setPending(entries)
 }
 
-// barrier delegates a distributed barrier wait to the raw wire; ok is
-// false when the wire does not support one.
-func (l *link) barrier() (BarrierWire, bool) {
-	bw, ok := l.raw.(BarrierWire)
-	return bw, ok
-}
-
 // directTransport is the default transport: a logical message is exactly
 // one packet, delivery is exact and in order (the simulated network is
 // perfect), so no acks, sequence numbers, or retransmission are needed.
-// Messages pulled while waiting for a specific (from, tag) are buffered
+// Packets pulled while waiting for a specific (from, tag) are buffered
 // per key, FIFO, preserving the per-(sender, tag) ordering guarantee.
 type directTransport struct {
 	w       Wire
-	pending map[[2]int][]bufferedPayload
-}
-
-// bufferedPayload is one out-of-order payload held by a transport,
-// remembering whether its buffer may still be recycled on consumption.
-type bufferedPayload struct {
-	data    []float64
-	recycle bool
+	pending map[[2]int][]Packet
 }
 
 // NewDirectTransport returns the default transport over w. It is exported
 // so fault injectors can compose it over a perturbed wire.
 func NewDirectTransport(w Wire) Transport {
-	return &directTransport{w: w, pending: make(map[[2]int][]bufferedPayload)}
+	return &directTransport{w: w, pending: make(map[[2]int][]Packet)}
 }
 
 func (t *directTransport) Send(to, tag int, data []float64) {
@@ -281,21 +262,16 @@ func (t *directTransport) Send(to, tag int, data []float64) {
 	t.w.Deliver(Packet{From: t.w.Rank(), To: to, Tag: tag, Kind: PacketData, Data: data, Recycle: true})
 }
 
-func (t *directTransport) Recv(from, tag int) []float64 {
-	data, _ := t.RecvPayload(from, tag)
-	return data
-}
-
-// RecvPayload implements PayloadReceiver: the returned flag propagates the
-// packet's Recycle mark so Comm.RecvInto can pool the buffer.
-func (t *directTransport) RecvPayload(from, tag int) ([]float64, bool) {
+// Recv propagates the packet's Recycle mark so Comm.RecvInto can pool the
+// buffer.
+func (t *directTransport) Recv(from, tag int) ([]float64, bool) {
 	key := [2]int{from, tag}
 	if q := t.pending[key]; len(q) > 0 {
-		bp := q[0]
-		q[0] = bufferedPayload{}
+		pkt := q[0]
+		q[0] = Packet{}
 		t.pending[key] = q[1:]
-		t.w.Pending(summarizeBuffered(t.pending))
-		return bp.data, bp.recycle
+		t.w.Pending(SummarizePending(t.pending))
+		return pkt.Data, pkt.Recycle
 	}
 	for {
 		pkt := t.w.Pull()
@@ -303,37 +279,14 @@ func (t *directTransport) RecvPayload(from, tag int) ([]float64, bool) {
 			return pkt.Data, pkt.Recycle
 		}
 		k := [2]int{pkt.From, pkt.Tag}
-		t.pending[k] = append(t.pending[k], bufferedPayload{data: pkt.Data, recycle: pkt.Recycle})
-		t.w.Pending(summarizeBuffered(t.pending))
+		t.pending[k] = append(t.pending[k], pkt)
+		t.w.Pending(SummarizePending(t.pending))
 	}
 }
 
-// summarizeBuffered is SummarizePending for the direct transport's
-// provenance-tracking pending map.
-func summarizeBuffered(pending map[[2]int][]bufferedPayload) []PendingEntry {
-	var out []PendingEntry
-	for key, msgs := range pending {
-		if len(msgs) == 0 {
-			continue
-		}
-		words := 0
-		for _, m := range msgs {
-			words += len(m.data)
-		}
-		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out
-}
-
-// SummarizePending condenses a transport's pending map (keyed by
+// SummarizePending condenses a transport's buffered packets (keyed by
 // [2]int{from, tag}) into sorted diagnostic entries for Wire.Pending.
-func SummarizePending(pending map[[2]int][][]float64) []PendingEntry {
+func SummarizePending(pending map[[2]int][]Packet) []PendingEntry {
 	var out []PendingEntry
 	for key, msgs := range pending {
 		if len(msgs) == 0 {
@@ -341,7 +294,7 @@ func SummarizePending(pending map[[2]int][][]float64) []PendingEntry {
 		}
 		words := 0
 		for _, m := range msgs {
-			words += len(m)
+			words += len(m.Data)
 		}
 		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
 	}

@@ -159,9 +159,6 @@ func advertiseAddr(advertise, bound string) string {
 // Rank returns the rank this client hosts.
 func (cl *Client) Rank() int { return cl.rank }
 
-// DataAddr returns the rank's data-plane listener address.
-func (cl *Client) DataAddr() string { return cl.nd.addr() }
-
 // Events delivers coordinator orders: resume, go, abort, stop. The channel
 // is closed when the control connection dies, which a rank process treats
 // as an order to exit (an orphaned rank must not outlive its supervisor).
@@ -272,6 +269,13 @@ func (cl *Client) NewWire(rank, size int) (machine.BackendWire, error) {
 		return nil, fmt.Errorf("netwire: client sized for %d ranks, wire requested for machine of %d", cl.size, size)
 	}
 	return cl.wire, nil
+}
+
+// ResetRank always fails: a distributed rank is an OS process, so a dead
+// one is respawned by the process-level supervisor with a fresh client of
+// its own, never reset in-process.
+func (cl *Client) ResetRank(rank int) error {
+	return fmt.Errorf("netwire: client cannot reset rank %d in-process; respawn the rank's process instead", rank)
 }
 
 // Close shuts the data node, the control connection, and the unix socket

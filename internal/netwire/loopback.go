@@ -19,8 +19,8 @@ import (
 // unchanged. This is the conformance configuration: logical meters and
 // results must match the SimBackend bit for bit.
 //
-// Loopback implements machine.RankResetter, so the in-process crash
-// recovery suite (Handle.RestartRank) runs over sockets too.
+// Loopback resets ranks in-process, so the crash recovery suite
+// (Handle.RestartRank) runs over sockets too.
 type Loopback struct {
 	network string
 	plan    fault.Plan
@@ -130,15 +130,16 @@ func (b *Loopback) setupLocked(size int) error {
 	return nil
 }
 
-// ResetRank hands a restarting rank a fresh inbound queue
-// (machine.RankResetter). In-flight frames already in kernel buffers
-// still decode into the new queue, where the machine's epoch fence
-// discards them — the same semantics the SimBackend's mailbox swap has.
-func (b *Loopback) ResetRank(rank int) {
+// ResetRank hands a restarting rank a fresh inbound queue. In-flight
+// frames already in kernel buffers still decode into the new queue, where
+// the machine's epoch fence discards them — the same semantics the
+// SimBackend's mailbox swap has.
+func (b *Loopback) ResetRank(rank int) error {
 	b.mu.Lock()
 	nd := b.nodes[rank]
 	b.mu.Unlock()
 	nd.resetInbox()
+	return nil
 }
 
 // Close shuts every listener and connection and removes unix socket

@@ -95,7 +95,7 @@ func newNode(network, addr string, rank int, resolve resolver) (*node, error) {
 		accepted: make(map[net.Conn]struct{}),
 		done:     make(chan struct{}),
 	}
-	nd.inbox.Store(machine.NewPacketQueue(0))
+	nd.inbox.Store(machine.NewPacketQueue())
 	nd.wg.Add(1)
 	go nd.acceptLoop()
 	return nd, nil
@@ -291,7 +291,7 @@ func (nd *node) invalidate(to int, pc *peerConn) {
 // resetInbox swaps in a fresh packet queue (rank restart); packets already
 // decoded into the old queue are dropped with it.
 func (nd *node) resetInbox() {
-	old := nd.inbox.Swap(machine.NewPacketQueue(0))
+	old := nd.inbox.Swap(machine.NewPacketQueue())
 	old.Drain()
 }
 
@@ -354,7 +354,7 @@ func (w *Wire) Deliver(pkt machine.Packet) {
 var debugDrops = os.Getenv("NETWIRE_DEBUG") != ""
 
 // OnDrop registers fn to be called for every packet the socket layer
-// loses, with a short reason (machine.DropReporter).
+// loses, with a short reason.
 func (w *Wire) OnDrop(fn func(pkt machine.Packet, reason string)) {
 	if fn == nil {
 		w.nd.onDrop.Store(nil)
@@ -380,6 +380,6 @@ func (w *Wire) Depth() int { return w.nd.inbox.Load().Depth() }
 // Drain discards every decoded-but-unpulled packet.
 func (w *Wire) Drain() { w.nd.inbox.Load().Drain() }
 
-// PacketCost prices pkt at its framed size in 8-byte words
-// (machine.PacketCoster), so wire meters count what crossed the socket.
+// PacketCost prices pkt at its framed size in 8-byte words, so wire
+// meters count what crossed the socket.
 func (w *Wire) PacketCost(pkt machine.Packet) int64 { return FrameWords(len(pkt.Data)) }

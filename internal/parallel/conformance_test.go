@@ -77,24 +77,3 @@ func TestExecutedMessagesConformToSchedule(t *testing.T) {
 		t.Fatalf("%d planned transfers never executed", len(planned))
 	}
 }
-
-// TestTraceCollector exercises the deprecated machine.Trace shim: its
-// Sends view must keep reporting exactly the logical sends so pre-obs
-// callers survive the richer event stream.
-func TestTraceCollector(t *testing.T) {
-	var trace machine.Trace
-	_, err := machine.RunWith(2, machine.RunConfig{Observer: trace.Observer()}, func(c *machine.Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 7, []float64{1, 2})
-		} else {
-			c.Recv(0, 7)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := trace.Sends()
-	if len(ev) != 1 || ev[0].From != 0 || ev[0].To != 1 || ev[0].Tag != 7 || ev[0].Words != 2 {
-		t.Fatalf("trace = %+v", ev)
-	}
-}

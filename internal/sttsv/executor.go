@@ -48,9 +48,6 @@ func NewScalarExecutor(workers int) *Executor {
 // Workers returns the configured worker count.
 func (e *Executor) Workers() int { return e.workers }
 
-// Scalar reports whether this executor uses the scalar reference kernel.
-func (e *Executor) Scalar() bool { return e.scalar }
-
 // contribute applies one block with the executor's configured kernel.
 func (e *Executor) contribute(blk *tensor.Block, xI, xJ, xK, yI, yJ, yK []float64, stats *Stats) {
 	if e.scalar {
