@@ -4,12 +4,15 @@
 //
 // Usage:
 //
-//	experiments            # run everything
-//	experiments -e comm    # only experiment E1 (communication optimality)
+//	experiments                   # run everything
+//	experiments -e comm           # only experiment E1 (communication optimality)
+//	experiments <tool> [flags]    # one structural tool (see tools.go)
 //
 // Experiments: tables (T1–T3), figure (F1), comm (E1), flops (E2),
 // steps (E3), alltoall (E4), seq (E5), baseline (E6), hopm (E7), cp (E8),
 // seqapproach (E9), io (E10), timeline (E11).
+//
+// Tools: steiner, partition, commsched, plan, validate.
 package main
 
 import (
@@ -34,7 +37,24 @@ import (
 	"repro/internal/tensor"
 )
 
+// exitOn reports a failed experiment or tool and exits 1.
+func exitOn(name string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+		os.Exit(1)
+	}
+}
+
 func main() {
+	if len(os.Args) > 1 {
+		if tool, ok := subcommands[os.Args[1]]; ok {
+			fs := flag.NewFlagSet(os.Args[1], flag.ExitOnError)
+			body := tool(fs)
+			fs.Parse(os.Args[2:])
+			exitOn(os.Args[1], body())
+			return
+		}
+	}
 	which := flag.String("e", "all", "experiment to run: tables|figure|comm|flops|steps|alltoall|seq|baseline|hopm|cp|seqapproach|io|timeline|all")
 	flag.Parse()
 
@@ -42,10 +62,7 @@ func main() {
 		if *which != "all" && *which != name {
 			return
 		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+		exitOn(name, fn())
 		fmt.Println()
 	}
 

@@ -186,10 +186,11 @@ func AdaptivePowerMethod(f STTSV, n int, initialShift float64, opts Options) (*E
 		lastDelta = delta
 		prev = lambda
 		la.Axpy(shift, x, y)
-		copy(x, y)
-		if la.Normalize(x) == 0 {
-			return nil, fmt.Errorf("hopm: iterate collapsed to zero")
+		if la.Normalize(y) == 0 {
+			pair.Singular = true
+			break
 		}
+		copy(x, y)
 	}
 	return pair, nil
 }

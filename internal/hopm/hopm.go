@@ -85,12 +85,17 @@ type Eigenpair struct {
 	// Residual is ‖A ×₂x ×₃x − λx‖₂ at termination.
 	Residual float64
 	// Converged reports whether the eigenvalue estimate stabilized within
-	// tolerance before MaxIter.
+	// tolerance before MaxIter. It stays false for the singular exit.
 	Converged bool
+	// Singular reports the degenerate exit: the update vanished, so the
+	// iterate could not be renormalized and the method stopped at the
+	// last unit iterate without converging.
+	Singular bool
 }
 
 // PowerMethod runs Algorithm 1 (or SS-HOPM when opts.Shift != 0) on the
-// given STTSV oracle for dimension n.
+// given STTSV oracle for dimension n. An update that vanishes ends the run
+// with Singular set and no error, as in the distributed Session.PowerMethod.
 func PowerMethod(f STTSV, n int, opts Options) (*Eigenpair, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hopm: dimension %d", n)
@@ -137,10 +142,11 @@ func PowerMethod(f STTSV, n int, opts Options) (*Eigenpair, error) {
 		if o.Shift != 0 {
 			la.Axpy(o.Shift, x, y)
 		}
-		copy(x, y)
-		if la.Normalize(x) == 0 {
-			return nil, fmt.Errorf("hopm: iterate collapsed to zero (singular tensor?)")
+		if la.Normalize(y) == 0 {
+			pair.Singular = true
+			break
 		}
+		copy(x, y)
 	}
 	return pair, nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/tensor"
 )
 
@@ -132,9 +134,10 @@ func TestPowerMethodValidation(t *testing.T) {
 	if _, err := PowerMethod(PackedSTTSV(a), 3, Options{X0: []float64{0, 0, 0}}); err == nil {
 		t.Error("zero X0 accepted")
 	}
-	// Zero tensor: first iterate collapses.
-	if _, err := PowerMethod(PackedSTTSV(a), 3, Options{X0: []float64{1, 0, 0}, Tol: 1e-300}); err == nil {
-		t.Error("collapse not detected")
+	// Zero tensor: the first update collapses, which is the singular exit,
+	// not an error.
+	if pair, err := PowerMethod(PackedSTTSV(a), 3, Options{X0: []float64{1, 0, 0}, Tol: 1e-300}); err != nil || !pair.Singular {
+		t.Errorf("collapse not reported as singular (err %v)", err)
 	}
 }
 
@@ -148,5 +151,44 @@ func TestPowerMethodX0Honored(t *testing.T) {
 	}
 	if pair.Iterations > 3 {
 		t.Fatalf("start at eigenvector took %d iterations", pair.Iterations)
+	}
+}
+
+// TestPowerMethodSingularZeroTensor: on the zero tensor the first update
+// vanishes. The method must stop without error, report Singular and not
+// Converged, keep the unit start iterate, and agree on that exit with the
+// distributed Session.PowerMethod.
+func TestPowerMethodSingularZeroTensor(t *testing.T) {
+	part, err := partition.NewSpherical(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := 3
+	n := part.M * b
+	a := tensor.NewSymmetric(n)
+	x0 := unitVec(n, 9)
+	pair, err := PowerMethod(PackedSTTSV(a), n, Options{X0: x0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pair.Singular || pair.Converged || pair.Iterations != 1 || pair.Lambda != 0 {
+		t.Fatalf("exit (singular %v, converged %v, iterations %d, lambda %g), want (true, false, 1, 0)",
+			pair.Singular, pair.Converged, pair.Iterations, pair.Lambda)
+	}
+	want := append([]float64(nil), x0...)
+	la.Normalize(want)
+	for i := range want {
+		if pair.X[i] != want[i] {
+			t.Fatalf("x[%d] = %g, want the start iterate %g", i, pair.X[i], want[i])
+		}
+	}
+
+	dist, err := parallel.RunPowerMethod(a, parallel.Options{Part: part, B: b}, parallel.PowerOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.Iterations != pair.Iterations || dist.Converged != pair.Converged || dist.Singular != pair.Singular {
+		t.Fatalf("session exit (iterations %d, converged %v, singular %v), hopm (%d, %v, %v)",
+			dist.Iterations, dist.Converged, dist.Singular, pair.Iterations, pair.Converged, pair.Singular)
 	}
 }

@@ -40,14 +40,19 @@ func PackRankBlocks(a *tensor.Symmetric, part *partition.Tetrahedral, b int) (*R
 		rb.N = a.N
 	}
 	for p := 0; p < part.P; p++ {
-		cs := part.Blocks(p)
-		coords := make([][3]int, len(cs))
-		for i, c := range cs {
-			coords[i] = [3]int{c.I, c.J, c.K}
-		}
-		rb.per[p] = tensor.PackBlocks(a, coords, b)
+		rb.per[p] = packRank(a, part, b, p)
 	}
 	return rb, nil
+}
+
+// packRank extracts rank p's block set.
+func packRank(a *tensor.Symmetric, part *partition.Tetrahedral, b, p int) *tensor.BlockPacked {
+	cs := part.Blocks(p)
+	coords := make([][3]int, len(cs))
+	for i, c := range cs {
+		coords[i] = [3]int{c.I, c.J, c.K}
+	}
+	return tensor.PackBlocks(a, coords, b)
 }
 
 // Rank returns rank p's packed block set.

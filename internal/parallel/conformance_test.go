@@ -2,16 +2,18 @@ package parallel
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/schedule"
 )
 
-// TestExecutedMessagesConformToSchedule traces every message of an
-// Algorithm 5 run and checks that the gather and reduce phases execute
-// exactly the planned schedule: same (from, to) pairs at the same steps,
-// and nothing else — end-to-end evidence that the simulator runs the §7.2
+// TestExecutedMessagesConformToSchedule traces every message of a real
+// Session.Apply and checks that the gather and reduce-scatter phases
+// execute exactly the planned schedule: same (from, to) pairs at the same
+// steps, gather tagged 100+s and reduce-scatter 200+s, and nothing else —
+// end-to-end evidence that the shipped exchange code runs the §7.2
 // communication plan rather than merely counting like it.
 func TestExecutedMessagesConformToSchedule(t *testing.T) {
 	part := sphericalPart(t, 2)
@@ -21,35 +23,30 @@ func TestExecutedMessagesConformToSchedule(t *testing.T) {
 	}
 	b := 6
 
-	// Execute only the communication skeleton under an observer (empty
-	// chunks are enough to validate the pattern; word counts are checked
-	// by other tests).
+	// The watchdog turns a mis-wired layout (a message sent to a peer
+	// that waits on another step's tag) into an Apply error, not a hang.
 	var rec obs.Recorder
-	plans := buildPlans(part, sched)
-	_, err = machine.RunWith(part.P, machine.RunConfig{Observer: rec.Observer()}, func(c *machine.Comm) {
-		me := c.Rank()
-		chunk := func(row int) []float64 {
-			lo, hi, _ := part.OwnedRange(me, row, b)
-			return make([]float64, hi-lo)
-		}
-		runScheduledPhase(c, plans[me], 100, func(peer int, rows []int) []float64 {
-			var payload []float64
-			for _, row := range rows {
-				payload = append(payload, chunk(row)...)
-			}
-			return payload
-		}, func(peer int, rows []int, payload []float64) {})
+	s, err := OpenSession(nil, Options{
+		Part: part, Sched: sched, B: b, Wiring: WiringP2P,
+		Machine: machine.RunConfig{Observer: rec.Observer(), Timeout: 10 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Apply(make([]float64, part.M*b)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Index the planned transfers by (step, from, to).
-	type key struct{ step, from, to int }
+	// Index the planned transfers by (tag, from, to) for both phases.
+	type key struct{ tag, from, to int }
 	planned := make(map[key]bool)
 	for si, step := range sched.Steps {
 		for _, tr := range step {
-			planned[key{si, tr.From, tr.To}] = true
+			planned[key{100 + si, tr.From, tr.To}] = true
+			planned[key{200 + si, tr.From, tr.To}] = true
 		}
 	}
 
@@ -63,11 +60,7 @@ func TestExecutedMessagesConformToSchedule(t *testing.T) {
 		t.Fatalf("executed %d messages, schedule plans %d", len(events), len(planned))
 	}
 	for _, e := range events {
-		step := e.Tag - 100
-		if step < 0 || step >= sched.NumSteps() {
-			t.Fatalf("message with unexpected tag %d", e.Tag)
-		}
-		k := key{step, e.From, e.To}
+		k := key{e.Tag, e.From, e.To}
 		if !planned[k] {
 			t.Fatalf("executed unplanned transfer %+v", k)
 		}

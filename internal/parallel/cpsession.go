@@ -17,9 +17,7 @@ package parallel
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/collective"
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sttsv"
@@ -40,14 +38,43 @@ type CPOptions struct {
 	Recovery *RecoveryOptions
 }
 
-// cpRuntime is the CP session's operator state: the shared read-only
-// operator, each rank's global row span, and a per-rank length-r scratch
-// for the weighted squares of the update.
-type cpRuntime struct {
-	op *sttsv.CPOperator
-	lo []int // global row span per rank
-	hi []int
-	wk [][]float64
+// cpOp is the CP session's step: project x onto V locally, all-reduce
+// the r·cols-word partial projections, and finish with the rank-r update
+// on the rank's rows. The per-rank communication is O(r·cols) words,
+// independent of n — the low-rank analogue of the paper's Θ(n/P^{1/3})
+// bound. lo and hi are each rank's global row span; wk is a per-rank
+// length-r scratch for the update's weighted squares.
+type cpOp struct {
+	op     *sttsv.CPOperator
+	lo, hi []int
+	wk     [][]float64
+}
+
+func (o *cpOp) phases() []string { return []string{"local", "all-reduce"} }
+
+// step counts (hi−lo)·r ternary-equivalent multiplications per column for
+// each of the two local halves of the 2nr apply. The projection buffer is
+// the rank's sendBuf, sized to r words per column by the layout.
+func (o *cpOp) step(me int, rk *sessionRank, c *machine.Comm, pr *phaseRecorder, cols int) {
+	lo, hi, r := o.lo[me], o.hi[me], o.op.R
+	mults := int64(hi-lo) * int64(r) * int64(cols)
+	rk.zeroY()
+	z := rk.sendBuf[:r*cols]
+	clear(z)
+	pr.local(c, "local", func() int64 {
+		for l := 0; l < cols; l++ {
+			o.op.Project(lo, hi, rk.xRowCol(me, l)[:hi-lo], z[l*r:(l+1)*r])
+		}
+		return mults
+	})
+	var sums []float64
+	pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(310, z) })
+	pr.local(c, "local", func() int64 {
+		for l := 0; l < cols; l++ {
+			o.op.Update(lo, hi, sums[l*r:(l+1)*r], o.wk[me], rk.yRowCol(me, l)[:hi-lo])
+		}
+		return mults
+	})
 }
 
 // OpenCPSession launches a resident P-rank session applying a low-rank
@@ -59,10 +86,7 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 	if op == nil {
 		return nil, fmt.Errorf("parallel: nil CP operator")
 	}
-	p := copts.P
-	if p < 1 {
-		p = 1
-	}
+	p := max(copts.P, 1)
 	b := (op.N + p - 1) / p // chunk width = block edge of the synthetic layout
 
 	// Synthetic one-row-per-rank partition: only P and M are consulted by
@@ -77,18 +101,12 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 	}
 
 	lay := &sessionLayout{perRank: make([]rankLayout, p), maxChunk: b}
-	rt := &cpRuntime{op: op, lo: make([]int, p), hi: make([]int, p), wk: make([][]float64, p)}
+	cp := &cpOp{op: op, lo: make([]int, p), hi: make([]int, p), wk: make([][]float64, p)}
 	for r := 0; r < p; r++ {
-		lo := r * b
-		hi := lo + b
-		if lo > op.N {
-			lo = op.N
-		}
-		if hi > op.N {
-			hi = op.N
-		}
-		rt.lo[r], rt.hi[r] = lo, hi
-		rt.wk[r] = make([]float64, op.R)
+		lo := min(r*b, op.N)
+		hi := min(lo+b, op.N)
+		cp.lo[r], cp.hi[r] = lo, hi
+		cp.wk[r] = make([]float64, op.R)
 
 		rk := &lay.perRank[r]
 		rk.rows = []int{r}
@@ -103,117 +121,21 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		rk.maxMsgW = op.R       // sendBuf doubles as the z-partial buffer
 	}
 
-	opts := Options{
-		Part:     part,
-		B:        b,
-		Wiring:   WiringP2P,
-		Machine:  copts.Machine,
-		MaxCols:  copts.MaxCols,
-		Recovery: copts.Recovery,
-	}
 	s := &Session{
-		opts:   opts,
+		opts: Options{
+			Part:     part,
+			B:        b,
+			Wiring:   WiringP2P,
+			Machine:  copts.Machine,
+			MaxCols:  copts.MaxCols,
+			Recovery: copts.Recovery,
+		},
 		part:   part,
 		b:      b,
 		padded: p * b,
 		n:      op.N,
-		cp:     rt,
+		op:     cp,
 		lay:    lay,
 	}
-	maxCols := opts.MaxCols
-	if maxCols < 1 {
-		maxCols = 1
-	}
-	s.grow(maxCols)
-
-	if opts.Recovery != nil {
-		rec := opts.Recovery.withDefaults()
-		s.rec = &rec
-		s.crashCh = make(chan rankDown, p)
-		if s.opts.Machine.Timeout == 0 {
-			// Same watchdog backstop a recovering dense session arms.
-			s.opts.Machine.Timeout = 5 * time.Second
-		}
-		s.ck = newCkStore(s.rk)
-		s.staticPeers = s.buildStaticPeers()
-	}
-	if err := s.launchMachine(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// cpProject forms this rank's partial projections for cols staged
-// columns into the (zeroed) z buffer: z[l·r+k] = Σ_i V[i,k]·x_l[i] over
-// the rank's rows. Counted as (hi−lo)·r ternary-equivalent
-// multiplications per column — the projection half of the 2nr apply.
-func (s *Session) cpProject(me int, rk *sessionRank, z []float64, cols int) int64 {
-	op := s.cp.op
-	lo, hi := s.cp.lo[me], s.cp.hi[me]
-	r := op.R
-	for l := 0; l < cols; l++ {
-		op.Project(lo, hi, rk.xRowCol(me, l)[:hi-lo], z[l*r:(l+1)*r])
-	}
-	return int64(hi-lo) * int64(r) * int64(cols)
-}
-
-// cpUpdate finishes the apply on this rank's rows from the all-reduced
-// projections: y_l += V·(λ∘z_l²). The update half of the 2nr accounting.
-func (s *Session) cpUpdate(me int, rk *sessionRank, sums []float64, cols int) int64 {
-	op := s.cp.op
-	lo, hi := s.cp.lo[me], s.cp.hi[me]
-	r := op.R
-	for l := 0; l < cols; l++ {
-		op.Update(lo, hi, sums[l*r:(l+1)*r], s.cp.wk[me], rk.yRowCol(me, l)[:hi-lo])
-	}
-	return int64(hi-lo) * int64(r) * int64(cols)
-}
-
-// cpApplyOp is the rank closure of one (possibly batched) CP application:
-// stage → local projection → r·cols-word all-reduce → local update →
-// publish. The per-rank communication is O(r·cols) words, independent of
-// n — the low-rank analogue of the paper's Θ(n/P^{1/3}) bound.
-func (s *Session) cpApplyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) func(me int, c *machine.Comm) {
-	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		m0 := c.Meters()
-		if rk.world == nil || rk.world.Comm() != c {
-			rk.world = collective.World(c)
-		}
-		rk.stage(s.stageX, cols)
-		rk.zeroY()
-		z := rk.sendBuf[:s.cp.op.R*cols]
-		clear(z)
-		pr.local(c, "local", func() int64 { return s.cpProject(me, rk, z, cols) })
-		var sums []float64
-		pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(310, z) })
-		pr.local(c, "local", func() int64 { return s.cpUpdate(me, rk, sums, cols) })
-		rk.publish(s.stageY, cols)
-		deltas[me] = c.Meters().Sub(m0)
-	}
-}
-
-// cpPowerIterOp is the CP power-method iteration: the iterate stays
-// distributed in the chunk layout, each iteration is projection →
-// all-reduce → update, and the convergence tail (λ and ‖y‖² all-reduce,
-// test, normalize) is powerAdvance — the identical code the dense and
-// sparse paths run, so convergence semantics cannot drift between
-// operator flavors.
-func (s *Session) cpPowerIterOp(tol float64, pr *phaseRecorder, st *powerIterState) func(me int, c *machine.Comm) {
-	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		if rk.world == nil || rk.world.Comm() != c {
-			rk.world = collective.World(c)
-		}
-		w := rk.lay.myHi[0]
-		copy(rk.xA[:w], rk.chunk[:w])
-		rk.zeroY()
-		z := rk.sendBuf[:s.cp.op.R]
-		clear(z)
-		pr.local(c, "local", func() int64 { return s.cpProject(me, rk, z, 1) })
-		var sums []float64
-		pr.comm(c, "all-reduce", func() { sums = rk.world.AllReduceSum(310, z) })
-		pr.local(c, "local", func() int64 { return s.cpUpdate(me, rk, sums, 1) })
-		st.stop[me], st.converged[me], st.singular[me] = rk.powerAdvance(c, tol, pr)
-	}
+	return s.start()
 }

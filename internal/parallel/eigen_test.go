@@ -2,9 +2,11 @@ package parallel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/machine"
 	"repro/internal/tensor"
 )
 
@@ -114,5 +116,88 @@ func TestDistributedPowerMethodZeroTensor(t *testing.T) {
 	}
 	if res.Lambda != 0 {
 		t.Fatalf("zero tensor lambda = %g", res.Lambda)
+	}
+}
+
+// TestRankEngineMatchesSession runs one RankEngine per rank of a simulated
+// machine, each driving its own Iterate loop the way a cluster rank
+// process does, and reassembles the iterate with AssemblePower. The
+// engines must reproduce Session.PowerMethod bit for bit — λ, X,
+// Iterations, Converged, Singular — on a random tensor (padded, so the
+// last row block is short) and on the zero tensor, whose first update
+// vanishes and takes the singular exit.
+func TestRankEngineMatchesSession(t *testing.T) {
+	part := sphericalPart(t, 2)
+	b := 5
+	n := part.M*b - 2
+	po := PowerOptions{MaxIter: 40, Tol: 1e-11, Seed: 3}
+	for _, tc := range []struct {
+		name string
+		a    *tensor.Symmetric
+	}{
+		{"random", tensor.Random(n, rand.New(rand.NewSource(71)))},
+		{"zero", tensor.NewSymmetric(n)},
+	} {
+		a := tc.a
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Part: part, B: b, Wiring: WiringP2P}
+			want, err := RunPowerMethod(a, opts, po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name == "zero" && !want.Singular {
+				t.Fatal("zero tensor did not take the singular exit")
+			}
+
+			engines := make([]*RankEngine, part.P)
+			for r := range engines {
+				if engines[r], err = NewRankEngine(a, opts, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			iters := make([]int, part.P)
+			converged := make([]bool, part.P)
+			singular := make([]bool, part.P)
+			h, err := machine.StartWith(part.P, machine.RunConfig{}, func(c *machine.Comm) {
+				me := c.Rank()
+				e := engines[me]
+				e.SeedPower(po.Seed)
+				for iters[me] < po.MaxIter {
+					iters[me]++
+					stop, conv, sing := e.Iterate(c, po.Tol)
+					converged[me], singular[me] = conv, sing
+					if stop {
+						break
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			owned := make([][]float64, part.P)
+			for r, e := range engines {
+				owned[r] = e.OwnedWords()
+			}
+			x, err := AssemblePower(part, b, n, owned)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if got := engines[0].Lambda(); math.Float64bits(got) != math.Float64bits(want.Lambda) {
+				t.Fatalf("lambda %v, session %v", got, want.Lambda)
+			}
+			if iters[0] != want.Iterations || converged[0] != want.Converged || singular[0] != want.Singular {
+				t.Fatalf("engine exit (iterations %d, converged %v, singular %v), session (%d, %v, %v)",
+					iters[0], converged[0], singular[0], want.Iterations, want.Converged, want.Singular)
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(want.X[i]) {
+					t.Fatalf("x[%d] = %v, session %v", i, x[i], want.X[i])
+				}
+			}
+		})
 	}
 }

@@ -76,11 +76,19 @@ type sessionLayout struct {
 	maxChunk int // largest chunk width (All-to-All message sizing)
 }
 
-// buildLayout precomputes every rank's layout for the wiring. The shared
-// rows of each pair are derived in one O(P·q²) pass over the partition
-// (each row names its q+1 sharers) instead of the O(P²·q) pairwise scans
-// of the seed.
-func buildLayout(part *partition.Tetrahedral, sched *schedule.Schedule, wiring Wiring, b int) (*sessionLayout, error) {
+// buildLayout validates the partition and block edge of opts, builds the
+// point-to-point schedule when the wiring needs one and none was supplied,
+// and precomputes every rank's layout. The shared rows of each pair are
+// derived in one O(P·q²) pass over the partition (each row names its q+1
+// sharers) instead of the O(P²·q) pairwise scans of the seed.
+func buildLayout(opts *Options) (*sessionLayout, error) {
+	part, b := opts.Part, opts.B
+	if part == nil {
+		return nil, fmt.Errorf("parallel: nil partition")
+	}
+	if b < 1 {
+		return nil, fmt.Errorf("parallel: block edge %d", b)
+	}
 	L := &sessionLayout{perRank: make([]rankLayout, part.P)}
 	for p := 0; p < part.P; p++ {
 		rk := &L.perRank[p]
@@ -100,22 +108,28 @@ func buildLayout(part *partition.Tetrahedral, sched *schedule.Schedule, wiring W
 			rk.myLo[k], rk.myHi[k] = lo, hi
 		}
 	}
-	L.maxChunk = 0
 	for i := 0; i < part.M; i++ {
-		if w := intmath.CeilDiv(b, len(part.Qi[i])); w > L.maxChunk {
-			L.maxChunk = w
-		}
+		L.maxChunk = max(L.maxChunk, intmath.CeilDiv(b, len(part.Qi[i])))
 	}
 
-	switch wiring {
+	switch opts.Wiring {
 	case WiringP2P:
+		sched := opts.Sched
+		if sched == nil {
+			var err error
+			if sched, err = schedule.Build(part); err != nil {
+				return nil, err
+			}
+		}
 		if err := buildP2PLayout(L, part, sched, b); err != nil {
 			return nil, err
 		}
 	case WiringAllToAll:
-		buildA2ALayout(L, part, b)
+		if err := buildA2ALayout(L, part, b); err != nil {
+			return nil, err
+		}
 	default:
-		return nil, fmt.Errorf("parallel: unknown wiring %v", wiring)
+		return nil, fmt.Errorf("parallel: unknown wiring %v", opts.Wiring)
 	}
 	return L, nil
 }
@@ -140,46 +154,53 @@ func segsFor(part *partition.Tetrahedral, lay *rankLayout, owner int, rows []int
 	return segs, words, nil
 }
 
+// buildP2PLayout turns each schedule transfer into the sender's and the
+// receiver's roles in its step.
 func buildP2PLayout(L *sessionLayout, part *partition.Tetrahedral, sched *schedule.Schedule, b int) error {
-	plans := buildPlans(part, sched)
 	L.steps = sched.NumSteps()
-	for p := 0; p < part.P; p++ {
+	for p := range L.perRank {
 		rk := &L.perRank[p]
 		rk.steps = make([]sessStep, L.steps)
-		for si, tr := range plans[p] {
-			st := &rk.steps[si]
-			st.sendTo, st.recvFrom = tr.sendTo, tr.recvFrom
+		for si := range rk.steps {
+			rk.steps[si].sendTo, rk.steps[si].recvFrom = -1, -1
+		}
+	}
+	for si, step := range sched.Steps {
+		for _, tr := range step {
+			from, to := &L.perRank[tr.From], &L.perRank[tr.To]
+			snd, rcv := &from.steps[si], &to.steps[si]
+			snd.sendTo, rcv.recvFrom = tr.To, tr.From
 			var err error
-			if tr.sendTo >= 0 {
-				// Gather sends my chunks; scatter sends the receiver's.
-				if st.gSend, st.gSendW, err = segsFor(part, rk, p, tr.sendRows, b); err != nil {
-					return err
-				}
-				if st.sSend, st.sSendW, err = segsFor(part, rk, tr.sendTo, tr.sendRows, b); err != nil {
-					return err
-				}
+			// Gather sends the sender's chunks; scatter sends the
+			// receiver's.
+			if snd.gSend, snd.gSendW, err = segsFor(part, from, tr.From, tr.Rows, b); err != nil {
+				return err
 			}
-			if tr.recvFrom >= 0 {
-				// Gather receives the sender's chunks; scatter receives
-				// partials for my chunks.
-				if st.gRecv, st.gRecvW, err = segsFor(part, rk, tr.recvFrom, tr.recvRows, b); err != nil {
-					return err
-				}
-				if st.sRecv, st.sRecvW, err = segsFor(part, rk, p, tr.recvRows, b); err != nil {
-					return err
-				}
+			if snd.sSend, snd.sSendW, err = segsFor(part, from, tr.To, tr.Rows, b); err != nil {
+				return err
 			}
-			for _, w := range [...]int{st.gSendW, st.gRecvW, st.sSendW, st.sRecvW} {
-				if w > rk.maxMsgW {
-					rk.maxMsgW = w
-				}
+			// Gather receives the sender's chunks; scatter receives
+			// partials for the receiver's own chunks.
+			if rcv.gRecv, rcv.gRecvW, err = segsFor(part, to, tr.From, tr.Rows, b); err != nil {
+				return err
 			}
+			if rcv.sRecv, rcv.sRecvW, err = segsFor(part, to, tr.To, tr.Rows, b); err != nil {
+				return err
+			}
+		}
+	}
+	for p := range L.perRank {
+		rk := &L.perRank[p]
+		for _, st := range rk.steps {
+			rk.maxMsgW = max(rk.maxMsgW, st.gSendW, st.gRecvW, st.sSendW, st.sRecvW)
 		}
 	}
 	return nil
 }
 
-func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) {
+// buildA2ALayout precomputes each rank's per-peer exchanges and rejects a
+// partition whose shared rows overflow the fixed All-to-All width.
+func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) error {
 	L.steps = part.P - 1
 	// shared[p][peer] lists R_p ∩ R_peer in R_p order — one pass over each
 	// rank's rows and their sharer lists.
@@ -207,12 +228,13 @@ func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) {
 			// Both owners hold every shared row, so segsFor cannot fail.
 			ap.mySegs, ap.myW, _ = segsFor(part, rk, p, rows, b)
 			ap.peerSegs, ap.peerW, _ = segsFor(part, rk, peer, rows, b)
-			rk.peers = append(rk.peers, ap)
-			for _, w := range [...]int{ap.myW, ap.peerW} {
-				if w > rk.maxMsgW {
-					rk.maxMsgW = w
-				}
+			if ap.myW > 2*L.maxChunk || ap.peerW > 2*L.maxChunk {
+				return fmt.Errorf("parallel: rank %d shares %d+%d words with rank %d, exceeding All-to-All width %d",
+					p, ap.myW, ap.peerW, peer, 2*L.maxChunk)
 			}
+			rk.peers = append(rk.peers, ap)
+			rk.maxMsgW = max(rk.maxMsgW, ap.myW, ap.peerW)
 		}
 	}
+	return nil
 }

@@ -1,57 +1,87 @@
 package parallel
 
 import (
+	"repro/internal/machine"
 	"repro/internal/sparse"
 	"repro/internal/sttsv"
 )
 
-// localOperator is the session's rank-local compute seam: the one point
-// where the staged x arena is turned into partial y contributions. The
-// communication structure around it — gather, reduce-scatter, the power
-// method's all-reduce, checkpointing, recovery — is operator-agnostic,
-// so a dense tensor, a packed sparse tensor, and (with its own exchange
-// shape) a low-rank CP operator all run through the same Session.
+// localOperator is the session's per-rank step seam: everything between
+// the staged x arena (every owned chunk filled) and the reduced owned y
+// chunks. The apply and power-method bodies around it — staging,
+// publishing, the power method's all-reduce, checkpointing, recovery —
+// are operator-agnostic, so a dense tensor, a packed sparse tensor and a
+// low-rank CP operator all run through the same Session and RankEngine
+// code.
 type localOperator interface {
-	// contribute runs rank me's local compute for cols staged columns,
-	// reading x row blocks and accumulating y row blocks through the
-	// rank's arena accessors, and returns the ternary-multiplication
-	// count for the logical compute meters.
-	contribute(me int, rk *sessionRank, b, cols int) int64
+	// phases names the step's phase labels in execution order.
+	phases() []string
+	// step runs rank me's step for cols staged columns, metering every
+	// phase through pr.
+	step(me int, rk *sessionRank, c *machine.Comm, pr *phaseRecorder, cols int)
 }
 
-// denseOp applies a rank's dense packed block set through the shared
-// executor (tiled kernels, or the scalar reference kernel under
+// exchangeOp is Algorithm 5's step: gather x over the session's wiring,
+// apply the rank's tetrahedral block set, reduce-scatter y.
+type exchangeOp struct {
+	// exchange runs one of the two vector exchanges (gather when gather
+	// is set, reduce-scatter otherwise) over the wiring chosen at open.
+	exchange func(rk *sessionRank, c *machine.Comm, cols int, gather bool)
+	// contribute runs rank me's local compute for cols columns, reading
+	// x row blocks and accumulating y row blocks through the rank's arena
+	// accessors, and returns the ternary-multiplication count.
+	contribute func(me int, rk *sessionRank, cols int) int64
+}
+
+func (o *exchangeOp) phases() []string { return []string{"gather", "local", "reduce-scatter"} }
+
+func (o *exchangeOp) step(me int, rk *sessionRank, c *machine.Comm, pr *phaseRecorder, cols int) {
+	pr.comm(c, "gather", func() { o.exchange(rk, c, cols, true) })
+	rk.zeroY()
+	pr.local(c, "local", func() int64 { return o.contribute(me, rk, cols) })
+	pr.comm(c, "reduce-scatter", func() { o.exchange(rk, c, cols, false) })
+}
+
+// newExchangeOp wires contribute into Algorithm 5's step over the layout's
+// wiring.
+func newExchangeOp(w Wiring, lay *sessionLayout, contribute func(me int, rk *sessionRank, cols int) int64) *exchangeOp {
+	o := &exchangeOp{exchange: (*sessionRank).exchangeP2P, contribute: contribute}
+	if w == WiringAllToAll {
+		o.exchange = func(rk *sessionRank, _ *machine.Comm, cols int, gather bool) {
+			rk.exchangeA2A(lay.maxChunk, cols, gather)
+		}
+	}
+	return o
+}
+
+// denseContribute applies a rank's dense packed block set through the
+// shared executor (tiled kernels, or the scalar reference kernel under
 // Options.ScalarKernel).
-type denseOp struct {
-	exec   *sttsv.Executor
-	blocks *RankBlocks
+func denseContribute(exec *sttsv.Executor, blocks *RankBlocks) func(me int, rk *sessionRank, cols int) int64 {
+	return func(me int, rk *sessionRank, cols int) int64 {
+		var st sttsv.Stats
+		exec.ContributeCols(rk.scratch, blocks.Rank(me), rk.b, cols, rk.xRowCol, rk.yRowCol, &st)
+		return st.TernaryMults
+	}
 }
 
-func (o *denseOp) contribute(me int, rk *sessionRank, b, cols int) int64 {
-	var st sttsv.Stats
-	o.exec.ContributeCols(rk.scratch, o.blocks.Rank(me), b, cols, rk.xRowCol, rk.yRowCol, &st)
-	return st.TernaryMults
-}
-
-// sparseOp applies a rank's packed sparse block set. Blocks are walked
-// sequentially in their kind-grouped order and each sparse kernel
+// sparseContribute applies a rank's packed sparse block set. Blocks are
+// walked sequentially in their kind-grouped order and each sparse kernel
 // reproduces the scalar dense kernel's association order, so the output
 // bits match a dense scalar session exactly while the work is O(nnz)
 // instead of O(b³) per block. The arena accessors return reslices of the
 // resident arenas, so the steady state allocates nothing.
-type sparseOp struct {
-	blocks *SparseRankBlocks
-}
-
-func (o *sparseOp) contribute(me int, rk *sessionRank, b, cols int) int64 {
-	var st sttsv.Stats
-	blocks := o.blocks.Rank(me)
-	for l := 0; l < cols; l++ {
-		for _, blk := range blocks {
-			sparse.BlockApply(blk,
-				rk.xRowCol(blk.I, l), rk.xRowCol(blk.J, l), rk.xRowCol(blk.K, l),
-				rk.yRowCol(blk.I, l), rk.yRowCol(blk.J, l), rk.yRowCol(blk.K, l), &st)
+func sparseContribute(srb *SparseRankBlocks) func(me int, rk *sessionRank, cols int) int64 {
+	return func(me int, rk *sessionRank, cols int) int64 {
+		var st sttsv.Stats
+		blocks := srb.Rank(me)
+		for l := 0; l < cols; l++ {
+			for _, blk := range blocks {
+				sparse.BlockApply(blk,
+					rk.xRowCol(blk.I, l), rk.xRowCol(blk.J, l), rk.xRowCol(blk.K, l),
+					rk.yRowCol(blk.I, l), rk.yRowCol(blk.J, l), rk.yRowCol(blk.K, l), &st)
+			}
 		}
+		return st.TernaryMults
 	}
-	return st.TernaryMults
 }

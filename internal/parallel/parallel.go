@@ -160,14 +160,6 @@ func (r *Result) Phase(label string) *PhaseMeter {
 	return nil
 }
 
-// plannedTransfer is one rank's role in a schedule step.
-type plannedTransfer struct {
-	sendTo   int // -1 when idle
-	sendRows []int
-	recvFrom int // -1 when idle
-	recvRows []int
-}
-
 // Run executes Algorithm 5 for y = A ×₂ x ×₃ x. The tensor may be nil, in
 // which case all blocks are zero (useful for pure communication
 // measurements at sizes where materializing A would be wasteful).
@@ -178,22 +170,6 @@ type plannedTransfer struct {
 // precomputation, and all buffers are then paid once rather than per
 // application. The results are identical either way, bit for bit.
 func Run(a *tensor.Symmetric, x []float64, opts Options) (*Result, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, fmt.Errorf("parallel: nil partition")
-	}
-	b := opts.B
-	if b < 1 {
-		return nil, fmt.Errorf("parallel: block edge %d", b)
-	}
-	n := len(x)
-	padded := part.M * b
-	if n > padded {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", n, padded, part.M, b)
-	}
-	if a != nil && a.N != n {
-		return nil, fmt.Errorf("parallel: tensor dimension %d, vector length %d", a.N, n)
-	}
 	s, err := OpenSession(a, opts)
 	if err != nil {
 		return nil, err
@@ -201,48 +177,3 @@ func Run(a *tensor.Symmetric, x []float64, opts Options) (*Result, error) {
 	defer s.Close()
 	return s.Apply(x)
 }
-
-// buildPlans converts a schedule into per-rank step plans.
-func buildPlans(part *partition.Tetrahedral, sched *schedule.Schedule) [][]plannedTransfer {
-	plans := make([][]plannedTransfer, part.P)
-	for p := range plans {
-		plans[p] = make([]plannedTransfer, sched.NumSteps())
-		for s := range plans[p] {
-			plans[p][s] = plannedTransfer{sendTo: -1, recvFrom: -1}
-		}
-	}
-	for si, step := range sched.Steps {
-		for _, tr := range step {
-			plans[tr.From][si].sendTo = tr.To
-			plans[tr.From][si].sendRows = tr.Rows
-			plans[tr.To][si].recvFrom = tr.From
-			plans[tr.To][si].recvRows = tr.Rows
-		}
-	}
-	return plans
-}
-
-// runScheduledPhase executes one phase of the point-to-point schedule.
-// pack builds the message for a destination (given the shared rows, in
-// sorted order); unpack consumes a received message from a source.
-func runScheduledPhase(c *machine.Comm, plan []plannedTransfer, tagBase int,
-	pack func(to int, rows []int) []float64,
-	unpack func(from int, rows []int, payload []float64),
-) {
-	for si, tr := range plan {
-		tag := tagBase + si
-		if tr.sendTo >= 0 {
-			c.Send(tr.sendTo, tag, pack(tr.sendTo, tr.sendRows))
-		}
-		if tr.recvFrom >= 0 {
-			unpack(tr.recvFrom, tr.recvRows, c.Recv(tr.recvFrom, tag))
-		}
-		c.Barrier() // enforce the stepwise semantics of §7.2
-	}
-}
-
-// The former runAllToAllPhase and its per-peer sharedRowsOf/OwnedRange
-// scans (O(P·q) repeated work per phase) are gone: the All-to-All wiring
-// now runs on the Session's precomputed a2aPeer tables (see layout.go),
-// and the fixed message width 2·maxChunk·cols is derived once at session
-// open from sessionLayout.maxChunk.

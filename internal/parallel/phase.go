@@ -89,6 +89,16 @@ func (pr *phaseRecorder) meter(label string) *PhaseMeter {
 	return pr.meters[pr.index[label]]
 }
 
+// setSteps stamps the scheduled exchange's step count on the gather and
+// reduce-scatter meters the recorder carries.
+func (pr *phaseRecorder) setSteps(steps int) {
+	for _, m := range pr.meters {
+		if m.Label == "gather" || m.Label == "reduce-scatter" {
+			m.Steps = steps
+		}
+	}
+}
+
 // comm runs body inside BeginPhase/EndPhase markers and attributes the
 // rank's logical meter deltas to the label.
 func (pr *phaseRecorder) comm(c *machine.Comm, label string, body func()) {

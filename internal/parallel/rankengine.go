@@ -2,11 +2,9 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -14,7 +12,7 @@ import (
 // RankEngine is one rank's share of the distributed power method, packaged
 // for a process that hosts exactly that rank over a real-network backend.
 // It owns the rank's packed block set, arenas and message buffers, and
-// drives iterations through the same sessionRank.powerIterate body the
+// drives iterations through the same sessionRank.powerStep body the
 // in-process Session dispatches — so a multi-process TCP run computes
 // bit-for-bit the arithmetic of the simulated reference.
 //
@@ -24,107 +22,57 @@ import (
 // persists State between rounds so a killed process can resume from its
 // last durable checkpoint.
 type RankEngine struct {
-	part   *partition.Tetrahedral
 	rank   int
-	b      int
-	padded int
 	n      int
+	padded int
 
-	exec   *sttsv.Executor
-	blocks []*tensor.Block
-	rk     *sessionRank
-	pr     *phaseRecorder
+	op localOperator
+	rk *sessionRank
+	pr *phaseRecorder
 }
 
 // NewRankEngine validates the configuration and packs only this rank's
 // tetrahedral block set (≈ 1/P of the tensor — the point of a distributed
 // run is that no process materializes everything).
 func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, fmt.Errorf("parallel: nil partition")
+	n := 0
+	if a != nil {
+		n = a.N
 	}
-	if rank < 0 || rank >= part.P {
-		return nil, fmt.Errorf("parallel: rank %d of %d", rank, part.P)
+	if err := checkPower(n, opts.Wiring); err != nil {
+		return nil, err
 	}
-	b := opts.B
-	if b < 1 {
-		return nil, fmt.Errorf("parallel: block edge %d", b)
-	}
-	if a == nil {
-		return nil, fmt.Errorf("parallel: power method requires a tensor")
-	}
-	if opts.Wiring != WiringP2P {
-		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
-	}
-	padded := part.M * b
-	if a.N > padded {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", a.N, padded)
-	}
-	sched := opts.Sched
-	if sched == nil {
-		s, err := schedule.Build(part)
-		if err != nil {
-			return nil, err
-		}
-		sched = s
-	}
-	lay, err := buildLayout(part, sched, WiringP2P, b)
+	lay, err := buildLayout(&opts)
 	if err != nil {
 		return nil, err
 	}
-
-	cs := part.Blocks(rank)
-	coords := make([][3]int, len(cs))
-	for i, c := range cs {
-		coords[i] = [3]int{c.I, c.J, c.K}
+	part, b := opts.Part, opts.B
+	if rank < 0 || rank >= part.P {
+		return nil, fmt.Errorf("parallel: rank %d of %d", rank, part.P)
 	}
-	packed := tensor.PackBlocks(a, coords, b)
-
-	rk := &sessionRank{lay: &lay.perRank[rank], b: b, maxCols: 1, scratch: sttsv.NewScratch()}
-	rows := len(rk.lay.rows)
-	rk.xA = make([]float64, rows*b)
-	rk.yA = make([]float64, rows*b)
-	rk.chunk = make([]float64, rows*b)
-	if rk.lay.maxMsgW > 0 {
-		rk.sendBuf = make([]float64, rk.lay.maxMsgW)
-		rk.recvBuf = make([]float64, rk.lay.maxMsgW)
+	if a.N > part.M*b {
+		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", a.N, part.M*b)
 	}
-
+	blocks := &RankBlocks{P: part.P, B: b, N: a.N, per: make([]*tensor.BlockPacked, part.P)}
+	blocks.per[rank] = packRank(a, part, b, rank)
+	rk := &sessionRank{lay: &lay.perRank[rank], b: b, scratch: sttsv.NewScratch()}
+	rk.grow(1, 0, 0)
+	op := newExchangeOp(WiringP2P, lay, denseContribute(opts.executor(), blocks))
 	return &RankEngine{
-		part:   part,
 		rank:   rank,
-		b:      b,
-		padded: padded,
 		n:      a.N,
-		exec:   opts.executor(),
-		blocks: packed.Blocks,
+		padded: part.M * b,
+		op:     op,
 		rk:     rk,
-		pr:     newPhaseRecorder(part.P, "gather", "local", "reduce-scatter", "all-reduce"),
+		pr:     newPhaseRecorder(part.P, powerPhases(op)...),
 	}, nil
 }
 
 // SeedPower initializes the rank's iterate chunks from the deterministic
-// unit start vector of PowerMethod — the full x0 is generated and
-// normalized exactly as the host does, then restricted to the owned spans,
-// so the distributed seed is bit-identical to the simulated one.
+// unit start vector of PowerMethod, restricted to the owned spans, so the
+// distributed seed is bit-identical to the simulated one.
 func (e *RankEngine) SeedPower(seed int64) {
-	x0 := make([]float64, e.padded)
-	norm := 0.0
-	for i := 0; i < e.n; i++ {
-		x0[i] = math.Sin(float64(i+1)*1.7 + float64(seed))
-		norm += x0[i] * x0[i]
-	}
-	norm = math.Sqrt(norm)
-	for i := 0; i < e.n; i++ {
-		x0[i] /= norm
-	}
-	rk := e.rk
-	for k, row := range rk.lay.rows {
-		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-		copy(rk.chunk[k*e.b+lo:k*e.b+hi], x0[row*e.b+lo:row*e.b+hi])
-	}
-	rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
+	e.rk.seedPower(startVector(e.n, e.padded, seed))
 }
 
 // Iterate runs one power-method round on the supplied communicator (whose
@@ -135,11 +83,7 @@ func (e *RankEngine) Iterate(c *machine.Comm, tol float64) (stop, converged, sin
 	if tol <= 0 {
 		tol = 1e-12
 	}
-	return e.rk.powerIterate(c, func() int64 {
-		var stats sttsv.Stats
-		e.exec.ContributeCols(e.rk.scratch, e.blocks, e.b, 1, e.rk.xRowCol, e.rk.yRowCol, &stats)
-		return stats.TernaryMults
-	}, tol, e.pr)
+	return e.rk.powerStep(e.op, e.rank, c, e.pr, tol)
 }
 
 // Lambda returns the current eigenvalue estimate.
@@ -183,7 +127,7 @@ func (e *RankEngine) OwnedWords() []float64 {
 	var out []float64
 	for k := range rk.lay.rows {
 		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-		out = append(out, rk.chunk[k*e.b+lo:k*e.b+hi]...)
+		out = append(out, rk.chunk[k*rk.b+lo:k*rk.b+hi]...)
 	}
 	return out
 }

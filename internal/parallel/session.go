@@ -10,7 +10,6 @@ import (
 	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/partition"
-	"repro/internal/schedule"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
 )
@@ -32,16 +31,13 @@ import (
 // A Session is not safe for concurrent use: operations are dispatched one
 // at a time by a single host goroutine.
 type Session struct {
-	a      *tensor.Symmetric
 	opts   Options
 	part   *partition.Tetrahedral
-	sched  *schedule.Schedule
 	b      int
 	padded int
 	n      int // logical operator dimension; 0 when unknown (nil tensor)
 
-	op  localOperator // rank-local compute seam (dense or sparse)
-	cp  *cpRuntime    // non-nil for CP sessions (their own exchange shape)
+	op  localOperator // per-rank step (dense, sparse or CP)
 	lay *sessionLayout
 
 	maxCols int
@@ -119,23 +115,12 @@ func (rk *sessionRank) stride() int { return rk.maxCols * rk.b }
 // blocks — pure communication measurement). Options.MaxCols presizes the
 // arenas for batched operations; ApplyBatch grows them on demand.
 func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
-	part := opts.Part
-	if part == nil {
-		return nil, fmt.Errorf("parallel: nil partition")
+	lay, err := buildLayout(&opts)
+	if err != nil {
+		return nil, err
 	}
-	b := opts.B
-	if b < 1 {
-		return nil, fmt.Errorf("parallel: block edge %d", b)
-	}
-	sched := opts.Sched
-	if opts.Wiring == WiringP2P && sched == nil {
-		s, err := schedule.Build(part)
-		if err != nil {
-			return nil, err
-		}
-		sched = s
-	}
-	var op localOperator
+	part, b := opts.Part, opts.B
+	var contribute func(me int, rk *sessionRank, cols int) int64
 	n := 0
 	if srb := opts.Sparse; srb != nil {
 		if a != nil {
@@ -148,54 +133,42 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &sparseOp{blocks: srb}
+		contribute = sparseContribute(srb)
 		n = srb.N
 	} else {
+		if a != nil {
+			if a.N > part.M*b {
+				return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", a.N, part.M*b, part.M, b)
+			}
+			n = a.N
+		}
 		blocks, err := rankBlocksFor(&opts, a, part, b)
 		if err != nil {
 			return nil, err
 		}
-		op = &denseOp{exec: opts.executor(), blocks: blocks}
-		if a != nil {
-			n = a.N
-		}
+		contribute = denseContribute(opts.executor(), blocks)
 	}
-	lay, err := buildLayout(part, sched, opts.Wiring, b)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Wiring == WiringAllToAll {
-		for p := range lay.perRank {
-			for _, ap := range lay.perRank[p].peers {
-				if ap.myW > 2*lay.maxChunk || ap.peerW > 2*lay.maxChunk {
-					return nil, fmt.Errorf("parallel: rank %d shares %d+%d words with rank %d, exceeding All-to-All width %d",
-						p, ap.myW, ap.peerW, ap.peer, 2*lay.maxChunk)
-				}
-			}
-		}
-	}
-
 	s := &Session{
-		a:      a,
 		opts:   opts,
 		part:   part,
-		sched:  sched,
 		b:      b,
 		padded: part.M * b,
 		n:      n,
-		op:     op,
+		op:     newExchangeOp(opts.Wiring, lay, contribute),
 		lay:    lay,
 	}
-	maxCols := opts.MaxCols
-	if maxCols < 1 {
-		maxCols = 1
-	}
-	s.grow(maxCols)
+	return s.start()
+}
 
-	if opts.Recovery != nil {
-		rec := opts.Recovery.withDefaults()
+// start is the ending every session shares once its operator and layout
+// are built: size the arenas, arm crash recovery when requested, and
+// launch the resident ranks.
+func (s *Session) start() (*Session, error) {
+	s.grow(max(s.opts.MaxCols, 1))
+	if s.opts.Recovery != nil {
+		rec := s.opts.Recovery.withDefaults()
 		s.rec = &rec
-		s.crashCh = make(chan rankDown, part.P)
+		s.crashCh = make(chan rankDown, s.part.P)
 		if s.opts.Machine.Timeout == 0 {
 			// A crashed rank can strand a peer in a parked transport wait
 			// the abort fence cannot reach; the watchdog is the recovery
@@ -223,28 +196,12 @@ func (s *Session) grow(maxCols int) {
 			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b, scratch: sttsv.NewScratch()}
 		}
 	}
+	a2aPeers := 0
+	if s.opts.Wiring == WiringAllToAll {
+		a2aPeers = s.part.P
+	}
 	for _, rk := range s.rk {
-		rk.maxCols = maxCols
-		rows := len(rk.lay.rows)
-		rk.xA = make([]float64, rows*maxCols*s.b)
-		rk.yA = make([]float64, rows*maxCols*s.b)
-		rk.chunk = make([]float64, rows*s.b)
-		if rk.lay.maxMsgW > 0 {
-			rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-			rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-		}
-		if s.opts.Wiring == WiringAllToAll {
-			width := 2 * s.lay.maxChunk * maxCols
-			rk.a2aSendBack = make([][]float64, s.part.P)
-			rk.a2aRecvBack = make([][]float64, s.part.P)
-			rk.a2aSend = make([][]float64, s.part.P)
-			rk.a2aRecv = make([][]float64, s.part.P)
-			rk.a2aPay = make([]int, s.part.P)
-			for i := 0; i < s.part.P; i++ {
-				rk.a2aSendBack[i] = make([]float64, width)
-				rk.a2aRecvBack[i] = make([]float64, width)
-			}
-		}
+		rk.grow(maxCols, a2aPeers, 2*s.lay.maxChunk*maxCols)
 	}
 	s.stageX = make([][]float64, maxCols)
 	s.stageY = make([][]float64, maxCols)
@@ -256,6 +213,32 @@ func (s *Session) grow(maxCols int) {
 		// The chunk arenas above were reallocated (and zeroed); the shadow
 		// mirrors and their fingerprints must follow.
 		s.ck.resync(s.rk)
+	}
+}
+
+// grow (re)allocates the rank's arenas and message buffers for maxCols
+// columns, plus a2aWidth-word buffers for each of a2aPeers All-to-All
+// peers (none under the point-to-point wiring).
+func (rk *sessionRank) grow(maxCols, a2aPeers, a2aWidth int) {
+	rk.maxCols = maxCols
+	rows := len(rk.lay.rows)
+	rk.xA = make([]float64, rows*maxCols*rk.b)
+	rk.yA = make([]float64, rows*maxCols*rk.b)
+	rk.chunk = make([]float64, rows*rk.b)
+	if rk.lay.maxMsgW > 0 {
+		rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
+		rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
+	}
+	if a2aPeers > 0 {
+		rk.a2aSendBack = make([][]float64, a2aPeers)
+		rk.a2aRecvBack = make([][]float64, a2aPeers)
+		rk.a2aSend = make([][]float64, a2aPeers)
+		rk.a2aRecv = make([][]float64, a2aPeers)
+		rk.a2aPay = make([]int, a2aPeers)
+		for i := 0; i < a2aPeers; i++ {
+			rk.a2aSendBack[i] = make([]float64, a2aWidth)
+			rk.a2aRecvBack[i] = make([]float64, a2aWidth)
+		}
 	}
 }
 
@@ -340,47 +323,47 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 	}
 }
 
-// gatherP2P runs the gather phase over the point-to-point schedule.
-func (rk *sessionRank) gatherP2P(c *machine.Comm, cols int) {
+// exchangeP2P runs one of the step's two vector exchanges over the
+// point-to-point schedule: gather copies the peers' chunks of the owned x
+// rows in; reduce-scatter adds the peers' partials into the owned y
+// chunks.
+func (rk *sessionRank) exchangeP2P(c *machine.Comm, cols int, gather bool) {
 	for si := range rk.lay.steps {
 		st := &rk.lay.steps[si]
-		tag := 100 + si
-		if st.sendTo >= 0 {
-			n := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols)
-			c.Send(st.sendTo, tag, rk.sendBuf[:n])
-		}
-		if st.recvFrom >= 0 {
-			w := st.gRecvW * cols
-			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
-			rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
+		if gather {
+			if st.sendTo >= 0 {
+				n := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols)
+				c.Send(st.sendTo, 100+si, rk.sendBuf[:n])
+			}
+			if st.recvFrom >= 0 {
+				w := st.gRecvW * cols
+				c.RecvInto(st.recvFrom, 100+si, rk.recvBuf[:w])
+				rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
+			}
+		} else {
+			if st.sendTo >= 0 {
+				n := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols)
+				c.Send(st.sendTo, 200+si, rk.sendBuf[:n])
+			}
+			if st.recvFrom >= 0 {
+				w := st.sRecvW * cols
+				c.RecvInto(st.recvFrom, 200+si, rk.recvBuf[:w])
+				rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
+			}
 		}
 		c.Barrier() // stepwise semantics of §7.2
-	}
-}
-
-// scatterP2P runs the reduce-scatter phase over the schedule.
-func (rk *sessionRank) scatterP2P(c *machine.Comm, cols int) {
-	for si := range rk.lay.steps {
-		st := &rk.lay.steps[si]
-		tag := 200 + si
-		if st.sendTo >= 0 {
-			n := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols)
-			c.Send(st.sendTo, tag, rk.sendBuf[:n])
-		}
-		if st.recvFrom >= 0 {
-			w := st.sRecvW * cols
-			c.RecvInto(st.recvFrom, tag, rk.recvBuf[:w])
-			rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
-		}
-		c.Barrier()
 	}
 }
 
 // exchangeA2A runs one phase over the fixed-width All-to-All collective.
 // gather selects direction: pack my chunks / copy in the peer's for the
 // gather phase; pack the peer's chunks / add into mine for reduce-scatter.
-func (rk *sessionRank) exchangeA2A(c *machine.Comm, maxChunk, tag, cols int, gather bool) {
+func (rk *sessionRank) exchangeA2A(maxChunk, cols int, gather bool) {
 	width := 2 * maxChunk * cols
+	tag := 2
+	if gather {
+		tag = 1
+	}
 	for i := range rk.a2aSend {
 		rk.a2aSend[i] = rk.a2aSendBack[i][:width]
 		rk.a2aRecv[i] = rk.a2aRecvBack[i][:width]
@@ -460,33 +443,25 @@ func (rk *sessionRank) yRowCol(i, l int) []float64 {
 // ---------------------------------------------------------------------------
 // Operations.
 
-// applyOp is the rank closure of one (possibly batched) STTSV application.
+// bind points the rank's collective group at this incarnation's Comm: a
+// RankEngine survives machine restarts, and a group bound to a dead
+// epoch's machine would panic with that machine's abort sentinel.
+func (rk *sessionRank) bind(c *machine.Comm) {
+	if rk.world == nil || rk.world.Comm() != c {
+		rk.world = collective.World(c)
+	}
+}
+
+// applyOp is the rank closure of one (possibly batched) application:
+// stage the input columns' owned chunks, run the operator's step, publish
+// the owned output chunks.
 func (s *Session) applyOp(cols int, pr *phaseRecorder, deltas []machine.Meters) func(me int, c *machine.Comm) {
 	return func(me int, c *machine.Comm) {
 		rk := s.rk[me]
 		m0 := c.Meters()
-		if s.opts.Wiring == WiringAllToAll && (rk.world == nil || rk.world.Comm() != c) {
-			rk.world = collective.World(c)
-		}
+		rk.bind(c)
 		rk.stage(s.stageX, cols)
-		pr.comm(c, "gather", func() {
-			if s.opts.Wiring == WiringP2P {
-				rk.gatherP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, s.lay.maxChunk, 1, cols, true)
-			}
-		})
-		rk.zeroY()
-		pr.local(c, "local", func() int64 {
-			return s.op.contribute(me, rk, s.b, cols)
-		})
-		pr.comm(c, "reduce-scatter", func() {
-			if s.opts.Wiring == WiringP2P {
-				rk.scatterP2P(c, cols)
-			} else {
-				rk.exchangeA2A(c, s.lay.maxChunk, 2, cols, false)
-			}
-		})
+		s.op.step(me, rk, c, pr, cols)
 		rk.publish(s.stageY, cols)
 		deltas[me] = c.Meters().Sub(m0)
 	}
@@ -517,9 +492,6 @@ func (s *Session) applyCols(X [][]float64) ([]machine.Meters, *phaseRecorder, er
 		if len(x) > s.padded {
 			return nil, nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d (m=%d, b=%d)", len(x), s.padded, s.part.M, s.b)
 		}
-		if s.a != nil && s.a.N != len(x) {
-			return nil, nil, fmt.Errorf("parallel: tensor dimension %d, vector length %d", s.a.N, len(x))
-		}
 		if s.n > 0 && s.n != len(x) {
 			return nil, nil, fmt.Errorf("parallel: operator dimension %d, vector length %d", s.n, len(x))
 		}
@@ -534,19 +506,11 @@ func (s *Session) applyCols(X [][]float64) ([]machine.Meters, *phaseRecorder, er
 		clear(s.stageX[l][len(x):])
 	}
 	deltas := make([]machine.Meters, s.part.P)
-	if s.cp != nil {
-		pr := newPhaseRecorder(s.part.P, "local", "all-reduce")
-		if err := s.dispatch(pr, dirtyNone, s.cpApplyOp(cols, pr, deltas)); err != nil {
-			return nil, nil, err
-		}
-		return deltas, pr, nil
-	}
-	pr := newPhaseRecorder(s.part.P, "gather", "local", "reduce-scatter")
+	pr := newPhaseRecorder(s.part.P, s.op.phases()...)
 	if err := s.dispatch(pr, dirtyNone, s.applyOp(cols, pr, deltas)); err != nil {
 		return nil, nil, err
 	}
-	pr.meter("gather").Steps = s.lay.steps
-	pr.meter("reduce-scatter").Steps = s.lay.steps
+	pr.setSteps(s.lay.steps)
 	return deltas, pr, nil
 }
 
@@ -658,43 +622,26 @@ type powerIterState struct {
 	singular  []bool
 }
 
-// powerIterate runs one power-method iteration on this rank: stage the
-// owned iterate chunks, gather, local compute (the operator-specific
-// closure), reduce-scatter, then the scalar all-reduce for λ and the
-// normalization. It is shared between the Session's dispatched op (dense
-// or sparse) and the distributed RankEngine, so a rank process on real
-// sockets executes bit-for-bit the arithmetic of the simulated run.
-func (rk *sessionRank) powerIterate(c *machine.Comm, compute func() int64, tol float64, pr *phaseRecorder) (stop, converged, singular bool) {
-	// The cached group must wrap this incarnation's Comm: a RankEngine
-	// survives machine restarts, and a group bound to a dead epoch's
-	// machine would panic with that machine's abort sentinel.
-	if rk.world == nil || rk.world.Comm() != c {
-		rk.world = collective.World(c)
-	}
-	b := rk.b
-	rows := rk.lay.rows
-	stride := rk.stride()
-
-	// Stage the owned chunks; gather fills every other chunk.
-	for k := range rows {
+// powerStep runs one power-method iteration on this rank: stage the owned
+// iterate chunks, run the operator's step, then powerAdvance. It is the
+// one iteration body of every Session (dense, sparse or CP) and of the
+// distributed RankEngine, so a rank process on real sockets executes
+// bit-for-bit the arithmetic of the simulated run.
+func (rk *sessionRank) powerStep(op localOperator, me int, c *machine.Comm, pr *phaseRecorder, tol float64) (stop, converged, singular bool) {
+	rk.bind(c)
+	b, stride := rk.b, rk.stride()
+	for k := range rk.lay.rows {
 		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
 		copy(rk.xA[k*stride+lo:k*stride+hi], rk.chunk[k*b+lo:k*b+hi])
 	}
-	pr.comm(c, "gather", func() { rk.gatherP2P(c, 1) })
-
-	rk.zeroY()
-	pr.local(c, "local", compute)
-
-	pr.comm(c, "reduce-scatter", func() { rk.scatterP2P(c, 1) })
-
+	op.step(me, rk, c, pr, 1)
 	return rk.powerAdvance(c, tol, pr)
 }
 
 // powerAdvance is the operator-agnostic tail of one power iteration: the
 // convergence scalars from the finished y arena, their all-reduce, the
 // shared convergence test, and the normalization of the owned iterate
-// chunks. The CP iteration (its own exchange shape) shares it with the
-// scheduled dense/sparse path.
+// chunks.
 func (rk *sessionRank) powerAdvance(c *machine.Comm, tol float64, pr *phaseRecorder) (stop, converged, singular bool) {
 	b := rk.b
 	rows := rk.lay.rows
@@ -739,15 +686,55 @@ func (rk *sessionRank) powerAdvance(c *machine.Comm, tol float64, pr *phaseRecor
 
 // powerIterOp is the rank closure of one power-method iteration. Making
 // each iteration its own dispatch keeps the crash-recovery checkpoint
-// granularity at one STTSV round: a crash replays the iteration it hit,
+// granularity at one operator step: a crash replays the iteration it hit,
 // not the whole method.
 func (s *Session) powerIterOp(tol float64, pr *phaseRecorder, st *powerIterState) func(me int, c *machine.Comm) {
 	return func(me int, c *machine.Comm) {
-		rk := s.rk[me]
-		st.stop[me], st.converged[me], st.singular[me] = rk.powerIterate(c, func() int64 {
-			return s.op.contribute(me, rk, s.b, 1)
-		}, tol, pr)
+		st.stop[me], st.converged[me], st.singular[me] = s.rk[me].powerStep(s.op, me, c, pr, tol)
 	}
+}
+
+// powerPhases is the power method's phase list: the operator's step plus
+// the convergence all-reduce.
+func powerPhases(op localOperator) []string { return append(op.phases(), "all-reduce") }
+
+// checkPower rejects a power method on an operator of unknown dimension
+// or over a wiring other than point-to-point.
+func checkPower(n int, w Wiring) error {
+	if n == 0 {
+		return fmt.Errorf("parallel: power method requires a tensor")
+	}
+	if w != WiringP2P {
+		return fmt.Errorf("parallel: power method supports the p2p wiring only")
+	}
+	return nil
+}
+
+// startVector is the power method's deterministic unit start vector,
+// zero-padded to the padded dimension.
+func startVector(n, padded int, seed int64) []float64 {
+	x0 := make([]float64, padded)
+	norm := 0.0
+	for i := 0; i < n; i++ {
+		x0[i] = math.Sin(float64(i+1)*1.7 + float64(seed))
+		norm += x0[i] * x0[i]
+	}
+	norm = math.Sqrt(norm)
+	for i := 0; i < n; i++ {
+		x0[i] /= norm
+	}
+	return x0
+}
+
+// seedPower loads the rank's owned spans of the start vector into its
+// iterate chunks and resets the convergence scalars.
+func (rk *sessionRank) seedPower(x0 []float64) {
+	b := rk.b
+	for k, row := range rk.lay.rows {
+		lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
+		copy(rk.chunk[k*b+lo:k*b+hi], x0[row*b+lo:row*b+hi])
+	}
+	rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
 }
 
 // PowerMethod runs the distributed higher-order power method (Algorithm 1)
@@ -760,15 +747,8 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	if s.closed {
 		return nil, fmt.Errorf("parallel: session closed")
 	}
-	if s.n == 0 {
-		return nil, fmt.Errorf("parallel: power method requires a tensor")
-	}
-	if s.opts.Wiring != WiringP2P {
-		return nil, fmt.Errorf("parallel: power method supports the p2p wiring only")
-	}
-	n := s.n
-	if n > s.padded {
-		return nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", n, s.padded)
+	if err := checkPower(s.n, s.opts.Wiring); err != nil {
+		return nil, err
 	}
 	if po.MaxIter <= 0 {
 		po.MaxIter = 200
@@ -781,50 +761,25 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 	}
 	defer s.inflight.Store(false)
 
-	// Deterministic unit start, padded region zero.
-	x0 := make([]float64, s.padded)
-	norm := 0.0
-	for i := 0; i < n; i++ {
-		x0[i] = math.Sin(float64(i+1)*1.7 + float64(po.Seed))
-		norm += x0[i] * x0[i]
-	}
-	norm = math.Sqrt(norm)
-	for i := 0; i < n; i++ {
-		x0[i] /= norm
+	// Seed the distributed iterate host-side (every rank is parked
+	// between operations, so its chunk arena is the host's to write).
+	x0 := startVector(s.n, s.padded, po.Seed)
+	for _, rk := range s.rk {
+		rk.seedPower(x0)
 	}
 
 	p := s.part.P
-	b := s.b
-	// Seed the distributed iterate host-side (every rank is parked
-	// between operations, so its chunk arena is the host's to write).
-	for _, rk := range s.rk {
-		for k, row := range rk.lay.rows {
-			lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
-			copy(rk.chunk[k*b+lo:k*b+hi], x0[row*b+lo:row*b+hi])
-		}
-		rk.pmLambda, rk.pmPrev = 0, math.Inf(1)
-	}
-
-	var pr *phaseRecorder
-	if s.cp != nil {
-		pr = newPhaseRecorder(p, "local", "all-reduce")
-	} else {
-		pr = newPhaseRecorder(p, "gather", "local", "reduce-scatter", "all-reduce")
-	}
+	pr := newPhaseRecorder(p, powerPhases(s.op)...)
 	base := make([]machine.Meters, p)
 	for r := range base {
 		base[r] = s.cur.h.RankMeters(r)
 	}
 
 	st := &powerIterState{stop: make([]bool, p), converged: make([]bool, p), singular: make([]bool, p)}
-	iterOp := s.powerIterOp
-	if s.cp != nil {
-		iterOp = s.cpPowerIterOp
-	}
 	iterations := 0
 	for iterations < po.MaxIter {
 		iterations++
-		if err := s.dispatch(pr, dirtyIterate, iterOp(po.Tol, pr, st)); err != nil {
+		if err := s.dispatch(pr, dirtyIterate, s.powerIterOp(po.Tol, pr, st)); err != nil {
 			return nil, err
 		}
 		if st.stop[0] {
@@ -832,31 +787,25 @@ func (s *Session) PowerMethod(po PowerOptions) (*EigenResult, error) {
 		}
 	}
 
-	// Iterations counts dispatched STTSV rounds exactly: a run stopped by
-	// the MaxIter cap reports MaxIter, not MaxIter+1, and Converged stays
-	// false for both the cap exit and the singular exit.
+	// Iterations counts dispatched operator steps exactly: a run stopped
+	// by the MaxIter cap reports MaxIter, not MaxIter+1, and Converged
+	// stays false for both the cap exit and the singular exit.
 	deltas := make([]machine.Meters, p)
 	for r := range deltas {
 		deltas[r] = s.cur.h.RankMeters(r).Sub(base[r])
 	}
 	xOut := make([]float64, s.padded)
+	b := s.b
 	for _, rk := range s.rk {
 		for k, row := range rk.lay.rows {
 			lo, hi := rk.lay.myLo[k], rk.lay.myHi[k]
 			copy(xOut[row*b+lo:row*b+hi], rk.chunk[k*b+lo:k*b+hi])
 		}
 	}
-
-	// The two exchanges ran the full schedule once per iteration (CP
-	// sessions have no scheduled exchange — their all-reduce is the whole
-	// communication).
-	if s.cp == nil {
-		pr.meter("gather").Steps = s.lay.steps * iterations
-		pr.meter("reduce-scatter").Steps = s.lay.steps * iterations
-	}
+	pr.setSteps(s.lay.steps * iterations)
 	return &EigenResult{
 		Lambda:     s.rk[0].pmLambda,
-		X:          xOut[:n],
+		X:          xOut[:s.n],
 		Iterations: iterations,
 		Converged:  st.converged[0],
 		Singular:   st.singular[0],
@@ -883,12 +832,6 @@ func (s *Session) MTTKRP(x *la.Matrix, r int) (*la.Matrix, *Result, error) {
 		n = s.n
 	default:
 		n = s.padded
-	}
-	if n > s.padded {
-		return nil, nil, fmt.Errorf("parallel: n=%d exceeds padded dimension %d", n, s.padded)
-	}
-	if s.a != nil && s.a.N != n {
-		return nil, nil, fmt.Errorf("parallel: tensor dimension %d, factor rows %d", s.a.N, n)
 	}
 	X := make([][]float64, r)
 	for l := 0; l < r; l++ {
