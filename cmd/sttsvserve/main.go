@@ -100,11 +100,29 @@ type server struct {
 	info infoResponse
 }
 
+// writeJSON encodes v before committing the status line, so a value that
+// cannot be encoded turns into a JSON error (500, the server's fault)
+// instead of the intended status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()}) // a string field always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client is gone
+}
+
+// finite reports whether every entry of y is a finite float — the only
+// values JSON can carry.
+func finite(y []float64) bool {
+	for _, v := range y {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
@@ -125,6 +143,12 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.pool.Apply(req.Tenant, req.X)
 	switch {
+	case err == nil && !finite(resp.Y):
+		// JSON has no Inf or NaN. The entries of x were finite (JSON
+		// cannot carry anything else), so y left the float64 range
+		// because x was too large: the caller's error.
+		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
+			Error: "result overflows float64 (y has non-finite entries); scale x down"})
 	case err == nil:
 		writeJSON(w, http.StatusOK, applyResponse{
 			Y:           resp.Y,

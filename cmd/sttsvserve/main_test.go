@@ -1,0 +1,114 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"repro/internal/parallel"
+	"repro/internal/partition"
+	"repro/internal/serve"
+	"repro/internal/tensor"
+)
+
+// newTestServer serves a one-session pool over a random q = 2, b = 2
+// tensor (n = 10) through the real apply handler.
+func newTestServer(t *testing.T) (*httptest.Server, int) {
+	t.Helper()
+	part, err := partition.NewSpherical(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 2
+	n := part.M * b
+	pool, err := serve.Open(tensor.Random(n, rand.New(rand.NewSource(1))), serve.Options{
+		Session:  parallel.Options{Part: part, B: b},
+		Sessions: 1, MaxCols: 2, MaxWait: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := pool.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	srv := &server{pool: pool}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/apply", srv.handleApply)
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	return hs, n
+}
+
+// postApply sends x and returns the status and the decoded JSON body; a
+// body that is empty or not JSON fails the test.
+func postApply(t *testing.T, url string, x []float64) (int, map[string]any) {
+	t.Helper()
+	req, err := json.Marshal(applyRequest{Tenant: "t", X: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/apply", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("status %d with an undecodable body: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, body
+}
+
+func TestApplyReturnsResult(t *testing.T) {
+	hs, n := newTestServer(t)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%3) - 1
+	}
+	status, body := postApply(t, hs.URL, x)
+	if status != http.StatusOK {
+		t.Fatalf("status %d, body %v", status, body)
+	}
+	if y, ok := body["y"].([]any); !ok || len(y) != n {
+		t.Fatalf("y = %v, want %d entries", body["y"], n)
+	}
+}
+
+// TestApplyNonFiniteResultIsCallerError: x entries of 1e200 overflow y
+// to ±Inf, which JSON cannot carry. The server must answer with a JSON
+// error and a 4xx status, not a 200 with an empty body.
+func TestApplyNonFiniteResultIsCallerError(t *testing.T) {
+	hs, n := newTestServer(t)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1e200
+	}
+	status, body := postApply(t, hs.URL, x)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, body %v, want %d", status, body, http.StatusUnprocessableEntity)
+	}
+	if msg, _ := body["error"].(string); msg == "" {
+		t.Fatalf("body %v carries no error message", body)
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that cannot be encoded must become
+// a JSON error with a 5xx status, never the intended status with an
+// empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want %d", rec.Code, http.StatusInternalServerError)
+	}
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("body %q (%v), want a JSON error", rec.Body.String(), err)
+	}
+}

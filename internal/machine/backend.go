@@ -94,11 +94,19 @@ type BarrierWire interface {
 // whose in-flight message count exceeds a preset buffer size; the backing
 // array compacts in place, so a steady-state producer/consumer pair stops
 // allocating once it has grown to the high-water depth.
+//
+// A Pull that finds a packet waiting takes the queue's mutex and nothing
+// else. Only a consumer that finds the queue empty announces itself
+// (waiting) and parks on the notify channel, and only a Push that sees
+// the announcement signals it, so a producer posting to a consumer busy
+// elsewhere — the common case in a superstep exchange, where the
+// receiver is still at the barrier — never touches the channel.
 type PacketQueue struct {
-	mu     sync.Mutex
-	q      []Packet
-	head   int
-	notify chan struct{} // best-effort consumer wakeup
+	mu      sync.Mutex
+	q       []Packet
+	head    int
+	waiting bool          // the consumer found the queue empty and may be parked
+	notify  chan struct{} // consumer wakeup; a stale token costs one empty pass
 }
 
 // NewPacketQueue returns an empty queue.
@@ -119,10 +127,14 @@ func (b *PacketQueue) Push(p Packet) {
 		b.head = 0
 	}
 	b.q = append(b.q, p)
+	wake := b.waiting
+	b.waiting = false
 	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
+	if wake {
+		select {
+		case b.notify <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -159,6 +171,7 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 			b.mu.Unlock()
 			return p, true
 		}
+		b.waiting = true
 		b.mu.Unlock()
 		if d == 0 {
 			select {

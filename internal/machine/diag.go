@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -97,8 +98,8 @@ func (w RankWait) describe() string {
 	return s
 }
 
-// DeadlockError is returned by the progress monitor when no rank
-// completes a logical operation for a full timeout window: each
+// DeadlockError is returned by the progress monitor when no rank enters
+// or leaves a machine operation for a full timeout window: each
 // unfinished rank is named with the operation it is blocked on and the
 // messages its transport has buffered, so a stuck protocol can be read
 // off the error instead of debugged from a bare "timed out".
@@ -150,13 +151,26 @@ func (e UnreachableError) Error() string {
 
 // rankDiag is one rank's monitor-visible state. The owning rank updates
 // it at blocking-operation boundaries; the watchdog reads it when a run
-// stalls. All access goes through the mutex.
+// stalls.
+//
+// The block state is lock-free: the rank is its only writer, and one
+// atomic word packs the kind with a transition counter (counter<<8 |
+// kind), so every transition changes the word. Peer and tag are stored
+// before the word that publishes them, and a reader retries until it
+// sees the same word on both sides of its peer/tag reads. Overwriting
+// the peer and tag of a send or receive (a rank parking after an abort
+// unwound it mid-exchange) first publishes a BlockNone transition, so a
+// reader can never pair BlockSend or BlockRecv with another operation's
+// peer and tag; the other kinds carry no peer or tag. The counter
+// doubles as the rank's progress signal for the stall watchdog. The
+// mutex guards only the cold fields below it.
 type rankDiag struct {
-	mu        sync.Mutex
-	kind      BlockKind
-	peer, tag int
-	pending   []PendingEntry
-	panicVal  any
+	state     atomic.Uint64
+	peer, tag atomic.Int64
+
+	mu       sync.Mutex
+	pending  []PendingEntry
+	panicVal any
 	// abortKind/abortPeer record the operation the rank was inside the
 	// last time it parked for the host: BlockSend or BlockRecv when an
 	// abort unwound it mid-exchange (setRunning never ran), BlockNone when
@@ -167,22 +181,33 @@ type rankDiag struct {
 	abortPeer int
 }
 
-func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
-	d.mu.Lock()
-	d.kind, d.peer, d.tag = k, peer, tag
-	d.mu.Unlock()
+// set publishes a transition to kind k. Only the owning rank calls it
+// (or the host, for a rank whose goroutine is not running).
+func (d *rankDiag) set(k BlockKind) {
+	d.state.Store((d.state.Load()>>8+1)<<8 | uint64(k))
 }
 
-// parkForHost atomically captures the abort context of the operation the
-// rank is abandoning and transitions to BlockHost. Quiesce observing
-// BlockHost therefore guarantees the context has been recorded.
-func (d *rankDiag) parkForHost() {
-	d.mu.Lock()
-	if d.kind == BlockSend || d.kind == BlockRecv {
-		d.abortKind, d.abortPeer = d.kind, d.peer
+func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
+	if cur := BlockKind(d.state.Load() & 0xff); cur == BlockSend || cur == BlockRecv {
+		d.set(BlockNone) // move the word before its peer and tag change
 	}
-	d.kind, d.peer, d.tag = BlockHost, -1, -1
+	d.peer.Store(int64(peer))
+	d.tag.Store(int64(tag))
+	d.set(k)
+}
+
+// parkForHost captures the abort context of the operation the rank is
+// abandoning and transitions to BlockHost. The context is recorded before
+// the transition is published, so Quiesce observing BlockHost guarantees
+// the context has been recorded.
+func (d *rankDiag) parkForHost() {
+	kind, peer, _ := d.block()
+	d.mu.Lock()
+	if kind == BlockSend || kind == BlockRecv {
+		d.abortKind, d.abortPeer = kind, peer
+	}
 	d.mu.Unlock()
+	d.setBlocked(BlockHost, -1, -1)
 }
 
 // takeAbortContext returns and clears the recorded mid-exchange context.
@@ -194,11 +219,7 @@ func (d *rankDiag) takeAbortContext() (BlockKind, int) {
 	return k, p
 }
 
-func (d *rankDiag) setRunning() {
-	d.mu.Lock()
-	d.kind = BlockNone
-	d.mu.Unlock()
-}
+func (d *rankDiag) setRunning() { d.set(BlockNone) }
 
 func (d *rankDiag) setPending(entries []PendingEntry) {
 	d.mu.Lock()
@@ -206,30 +227,25 @@ func (d *rankDiag) setPending(entries []PendingEntry) {
 	d.mu.Unlock()
 }
 
-func (d *rankDiag) setDone() {
-	d.mu.Lock()
-	d.kind = BlockDone
-	d.mu.Unlock()
-}
+func (d *rankDiag) setDone() { d.set(BlockDone) }
 
 // reset returns the slot to its launch state; the recovery supervisor
 // calls it when respawning a crashed rank so the eventual machine report
 // does not resurrect an already-recovered panic.
 func (d *rankDiag) reset() {
 	d.mu.Lock()
-	d.kind = BlockNone
-	d.peer, d.tag = 0, 0
 	d.pending = nil
 	d.panicVal = nil
 	d.abortKind, d.abortPeer = BlockNone, 0
 	d.mu.Unlock()
+	d.setBlocked(BlockNone, 0, 0)
 }
 
 func (d *rankDiag) setPanic(v any) {
 	d.mu.Lock()
-	d.kind = BlockCrashed
 	d.panicVal = v
 	d.mu.Unlock()
+	d.set(BlockCrashed)
 }
 
 func (d *rankDiag) panicValue() any {
@@ -238,8 +254,24 @@ func (d *rankDiag) panicValue() any {
 	return d.panicVal
 }
 
+// progress returns the rank's transition counter: it moves whenever the
+// rank enters or leaves a machine operation.
+func (d *rankDiag) progress() uint64 { return d.state.Load() >> 8 }
+
+// block reads a consistent (kind, peer, tag) triple.
+func (d *rankDiag) block() (BlockKind, int, int) {
+	for {
+		s := d.state.Load()
+		peer, tag := d.peer.Load(), d.tag.Load()
+		if d.state.Load() == s {
+			return BlockKind(s & 0xff), int(peer), int(tag)
+		}
+	}
+}
+
 func (d *rankDiag) snapshot() (BlockKind, int, int, []PendingEntry) {
+	kind, peer, tag := d.block()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.kind, d.peer, d.tag, append([]PendingEntry(nil), d.pending...)
+	return kind, peer, tag, append([]PendingEntry(nil), d.pending...)
 }

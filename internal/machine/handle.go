@@ -86,19 +86,16 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		localRanks:  append([]int(nil), locals...),
 		isLocal:     isLocal,
 		distributed: len(locals) < p,
-		sent:        make([]counter, p),
-		recv:        make([]counter, p),
-		wireSent:    make([]counter, p),
-		wireRecv:    make([]counter, p),
-		barrier:     newBarrier(len(locals)),
+		ranks:       make([]rankState, p),
 		observer:    cfg.Observer,
 		wireEvents:  cfg.WireEvents,
 		obsState:    make([]rankObsState, p),
-		diags:       make([]rankDiag, p),
-		abortCh:     make(chan struct{}),
 		recovering:  cfg.OnRankDown != nil,
 		start:       time.Now(),
 	}
+	m.barrier = newBarrier(p, m.localRanks)
+	abortCh := make(chan struct{})
+	m.abortCh.Store(&abortCh)
 	m.epoch.Store(cfg.StartEpoch)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)
@@ -165,7 +162,7 @@ func (h *Handle) runRank(rank int) {
 		}
 	}()
 	m := h.m
-	d := &m.diags[rank]
+	d := &m.ranks[rank].diag
 	c := &Comm{m: m, rank: rank, diag: d, l: m.links[rank], factory: h.factory}
 	c.bind(h.factory(c.l))
 	var panicVal any
@@ -237,7 +234,7 @@ func (h *Handle) Abort() {
 	m := h.m
 	m.abortMu.Lock()
 	if !m.aborting.Swap(true) {
-		close(m.abortCh)
+		close(*m.abortCh.Load())
 	}
 	m.abortMu.Unlock()
 	m.barrier.abort()
@@ -262,7 +259,7 @@ func (h *Handle) Quiesce(timeout time.Duration) error {
 
 func (h *Handle) quiescent() bool {
 	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.diags[r].snapshot()
+		kind, _, _, _ := h.m.ranks[r].diag.snapshot()
 		switch kind {
 		case BlockHost, BlockCrashed, BlockDone:
 		default:
@@ -278,7 +275,7 @@ func (h *Handle) quiescent() bool {
 func (h *Handle) CrashedRanks() []int {
 	var out []int
 	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.diags[r].snapshot()
+		kind, _, _, _ := h.m.ranks[r].diag.snapshot()
 		if kind == BlockCrashed {
 			out = append(out, r)
 		}
@@ -297,10 +294,14 @@ func (h *Handle) CrashedRanks() []int {
 // retransmission references to them.
 func (h *Handle) BeginEpoch() int64 {
 	m := h.m
+	// The epoch advances before the abort flag clears: a rank checking
+	// the flag and then the epoch (a resident body vetting an operation
+	// it took mid-recovery) sees at least one of them move.
 	m.abortMu.Lock()
-	m.aborting.Store(false)
-	m.abortCh = make(chan struct{})
 	epoch := m.epoch.Add(1)
+	abortCh := make(chan struct{})
+	m.abortCh.Store(&abortCh)
+	m.aborting.Store(false)
 	m.abortMu.Unlock()
 	m.barrier.reset()
 	for _, r := range m.localRanks {
@@ -328,14 +329,14 @@ func (h *Handle) RestartRank(rank int) error {
 	if !h.m.isLocal[rank] {
 		return fmt.Errorf("machine: restart of remote rank %d", rank)
 	}
-	kind, _, _, _ := h.m.diags[rank].snapshot()
+	kind, _, _, _ := h.m.ranks[rank].diag.snapshot()
 	if kind != BlockCrashed {
 		return fmt.Errorf("machine: restart of rank %d in state %v (want crashed)", rank, kind)
 	}
 	if err := h.m.be.ResetRank(rank); err != nil {
 		return err
 	}
-	h.m.diags[rank].reset()
+	h.m.ranks[rank].diag.reset()
 	// A crashed rank's goroutine has fully exited, so alive is strictly
 	// below P here, and the parked survivors keep it above zero — the
 	// increment cannot race the done close.
@@ -358,12 +359,12 @@ func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 // otherwise they keep accumulating, which is where recovery overhead is
 // supposed to show.
 func (h *Handle) RestoreMeters(rank int, mt Meters, wire bool) {
-	m := h.m
-	m.sent[rank].set(mt.SentWords, mt.SentMsgs)
-	m.recv[rank].set(mt.RecvWords, mt.RecvMsgs)
+	rs := &h.m.ranks[rank]
+	rs.sent.set(mt.SentWords, mt.SentMsgs)
+	rs.recv.set(mt.RecvWords, mt.RecvMsgs)
 	if wire {
-		m.wireSent[rank].set(mt.WireSentWords, mt.WireSentMsgs)
-		m.wireRecv[rank].set(mt.WireRecvWords, mt.WireRecvMsgs)
+		rs.wireSent.set(mt.WireSentWords, mt.WireSentMsgs)
+		rs.wireRecv.set(mt.WireRecvWords, mt.WireRecvMsgs)
 	}
 }
 
@@ -397,7 +398,7 @@ func (h *Handle) RestoreEventSeq(rank int, seq int64) {
 // completed cleanly. Valid after Quiesce (parking records the context
 // before the rank becomes host-blocked).
 func (h *Handle) TakeAbortContext(rank int) (BlockKind, int) {
-	return h.m.diags[rank].takeAbortContext()
+	return h.m.ranks[rank].diag.takeAbortContext()
 }
 
 // RankPending snapshots the messages a rank's transport has buffered —
@@ -405,6 +406,6 @@ func (h *Handle) TakeAbortContext(rank int) (BlockKind, int) {
 // logical Recv. After an abort these are conversations torn mid-flight;
 // the recovery supervisor reads them to find disturbed transport pairs.
 func (h *Handle) RankPending(rank int) []PendingEntry {
-	_, _, _, pending := h.m.diags[rank].snapshot()
+	_, _, _, pending := h.m.ranks[rank].diag.snapshot()
 	return pending
 }

@@ -31,43 +31,34 @@ import (
 // Machine is the shared state of one simulated run.
 type Machine struct {
 	p           int
-	be          Backend   // packet layer (SimBackend unless configured)
-	links       []*link   // per-rank wires over the backend; nil for remote ranks
-	localRanks  []int     // ranks running in this process, ascending
-	isLocal     []bool    // indexed by rank
-	distributed bool      // len(localRanks) < p: peers live in other processes
-	sent        []counter // logical, metered at Send
-	recv        []counter // logical, metered at Recv
-	wireSent    []counter // raw packets pushed, retransmits and acks included
-	wireRecv    []counter // raw packets pulled
+	be          Backend     // packet layer (SimBackend unless configured)
+	links       []*link     // per-rank wires over the backend; nil for remote ranks
+	localRanks  []int       // ranks running in this process, ascending
+	isLocal     []bool      // indexed by rank
+	distributed bool        // len(localRanks) < p: peers live in other processes
+	ranks       []rankState // per-rank meters, block state and payload pool
 	barrier     *barrier
 	observer    func(Event)
 	wireEvents  bool
 	obsState    []rankObsState
-	diags       []rankDiag
-	progress    atomic.Int64 // bumped on every completed logical operation
-	pool        payloadPool  // recycles Send's payload copies (see pool.go)
-	start       time.Time    // incarnation start; Event.Wall is measured from it
+	start       time.Time // incarnation start; Event.Wall is measured from it
 
 	// Crash-recovery state (see handle.go). epoch fences stale wire
 	// traffic across recoveries; aborting/abortCh unwind blocked ranks out
 	// of the current operation; recovering relaxes the watchdog's treatment
-	// of crashed ranks, because a supervisor will restart them.
+	// of crashed ranks, because a supervisor will restart them. abortCh is
+	// read with one atomic load on every blocking Pull; abortMu only
+	// orders the supervisor's close against its replacement.
 	epoch      atomic.Int64
 	aborting   atomic.Bool
 	abortMu    sync.Mutex
-	abortCh    chan struct{}
+	abortCh    atomic.Pointer[chan struct{}]
 	recovering bool
 }
 
 // abortChan returns the current epoch's abort channel; closed while an
 // abort is in progress.
-func (m *Machine) abortChan() <-chan struct{} {
-	m.abortMu.Lock()
-	ch := m.abortCh
-	m.abortMu.Unlock()
-	return ch
-}
+func (m *Machine) abortChan() <-chan struct{} { return *m.abortCh.Load() }
 
 // checkAbort unwinds the calling rank out of the current operation when
 // an epoch abort is in progress.
@@ -118,6 +109,19 @@ func (c *counter) set(words, msgs int64) {
 	c.msgs.Store(msgs)
 }
 
+// rankState is everything a rank's own operations write: its eight
+// traffic counters, its monitor-visible block state, and the pool its
+// Sends draw payload copies from. The rank is the only writer of the
+// meters and the block state (the host and the watchdog only read them,
+// or write while the rank is parked), so nothing on a rank's hot path is
+// a machine-wide lock or counter.
+type rankState struct {
+	sent, recv         counter // logical, metered at Send and Recv
+	wireSent, wireRecv counter // raw packets pushed and pulled, retransmits and acks included
+	diag               rankDiag
+	pool               payloadPool // recycles this rank's Send copies (see pool.go)
+}
+
 // Comm is a rank's handle to the machine. Exactly one goroutine may use a
 // given Comm.
 type Comm struct {
@@ -149,6 +153,12 @@ func (c *Comm) Size() int { return c.m.p }
 // crash recovery). A resident body compares it against the epoch it last
 // ran an operation in to decide whether its transport needs a Rebind.
 func (c *Comm) Epoch() int64 { return c.m.epoch.Load() }
+
+// Aborting reports whether the machine is unwinding the current epoch
+// (Handle.Abort has run and Handle.BeginEpoch has not). A resident body
+// checks it, with Epoch, before running an operation it took from the
+// host while the supervisor may have been recovering.
+func (c *Comm) Aborting() bool { return c.m.aborting.Load() }
 
 // Rebind rebuilds this rank's transport over its raw wire endpoint. A
 // surviving rank calls it when it picks up the first operation of a new
@@ -190,14 +200,14 @@ func (c *Comm) Send(to, tag int, data []float64) {
 		panic(fmt.Sprintf("machine: send to rank %d of %d", to, c.m.p))
 	}
 	c.m.checkAbort()
-	cp := c.m.pool.get(len(data))
+	rs := &c.m.ranks[c.rank]
+	cp := rs.pool.get(len(data))
 	copy(cp, data)
-	c.m.sent[c.rank].add(int64(len(data)))
+	rs.sent.add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventSend, From: c.rank, To: to, Tag: tag, Words: len(data), Step: -1})
 	c.diag.setBlocked(BlockSend, to, tag)
 	c.t.Send(to, tag, cp)
 	c.diag.setRunning()
-	c.m.progress.Add(1)
 }
 
 // Recv blocks until a message with the given source and tag arrives and
@@ -208,9 +218,8 @@ func (c *Comm) Recv(from, tag int) []float64 {
 	c.diag.setBlocked(BlockRecv, from, tag)
 	data, _ := c.t.Recv(from, tag)
 	c.diag.setRunning()
-	c.m.recv[c.rank].add(int64(len(data)))
+	c.m.ranks[c.rank].recv.add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
-	c.m.progress.Add(1)
 	return data
 }
 
@@ -234,13 +243,14 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 		panic(fmt.Sprintf("machine: rank %d RecvInto(%d, %d): payload %d words, buffer %d",
 			c.rank, from, tag, len(data), len(dst)))
 	}
-	c.m.recv[c.rank].add(int64(len(data)))
+	c.m.ranks[c.rank].recv.add(int64(len(data)))
 	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
 	copy(dst, data)
 	if recycle {
-		c.m.pool.put(data)
+		// Back to the sender's pool: a rank that only sends would
+		// otherwise allocate every payload copy afresh.
+		c.m.ranks[from].pool.put(data)
 	}
-	c.m.progress.Add(1)
 	return len(data)
 }
 
@@ -284,7 +294,7 @@ func (c *Comm) Barrier() {
 		}
 		gen = g
 	} else if c.idler != nil {
-		ch, g := c.m.barrier.arriveChan()
+		ch, g := c.m.barrier.arriveChan(c.rank)
 		c.idler.Idle(ch)
 		// An abort closes the release channel early; a barrier that
 		// happened to complete at the same moment is retried with the rest
@@ -292,14 +302,13 @@ func (c *Comm) Barrier() {
 		c.m.checkAbort()
 		gen = g
 	} else {
-		gen = c.m.barrier.await()
+		gen = c.m.barrier.await(c.rank)
 		if gen < 0 {
 			panic(abortPanic{})
 		}
 	}
 	c.diag.setRunning()
 	c.m.emit(c.rank, Event{Kind: EventBarrier, From: c.rank, To: c.rank, Step: gen})
-	c.m.progress.Add(1)
 }
 
 // AwaitHost runs wait with this rank parked as blocked on host input: a
@@ -326,7 +335,6 @@ func (c *Comm) AwaitHost(wait func()) {
 		wait()
 	}
 	c.diag.setRunning()
-	c.m.progress.Add(1)
 }
 
 // Meters is a point-in-time snapshot of one rank's eight traffic
@@ -353,61 +361,88 @@ func (c *Comm) Meters() Meters { return c.m.meters(c.rank) }
 // meters reads one rank's eight counters — the single read path behind
 // Comm.Meters, Handle.RankMeters and the run Report.
 func (m *Machine) meters(r int) Meters {
+	rs := &m.ranks[r]
 	return Meters{
-		SentWords: m.sent[r].words.Load(), RecvWords: m.recv[r].words.Load(),
-		SentMsgs: m.sent[r].msgs.Load(), RecvMsgs: m.recv[r].msgs.Load(),
-		WireSentWords: m.wireSent[r].words.Load(), WireRecvWords: m.wireRecv[r].words.Load(),
-		WireSentMsgs: m.wireSent[r].msgs.Load(), WireRecvMsgs: m.wireRecv[r].msgs.Load(),
+		SentWords: rs.sent.words.Load(), RecvWords: rs.recv.words.Load(),
+		SentMsgs: rs.sent.msgs.Load(), RecvMsgs: rs.recv.msgs.Load(),
+		WireSentWords: rs.wireSent.words.Load(), WireRecvWords: rs.wireRecv.words.Load(),
+		WireSentMsgs: rs.wireSent.msgs.Load(), WireRecvMsgs: rs.wireRecv.msgs.Load(),
 	}
 }
 
 // SentWords returns the words this rank has sent so far.
-func (c *Comm) SentWords() int64 { return c.m.sent[c.rank].words.Load() }
+func (c *Comm) SentWords() int64 { return c.m.ranks[c.rank].sent.words.Load() }
 
 // RecvWords returns the words this rank has received so far.
-func (c *Comm) RecvWords() int64 { return c.m.recv[c.rank].words.Load() }
+func (c *Comm) RecvWords() int64 { return c.m.ranks[c.rank].recv.words.Load() }
 
 // SentMsgs returns the number of messages this rank has sent so far.
-func (c *Comm) SentMsgs() int64 { return c.m.sent[c.rank].msgs.Load() }
+func (c *Comm) SentMsgs() int64 { return c.m.ranks[c.rank].sent.msgs.Load() }
 
 // RecvMsgs returns the number of messages this rank has received so far.
-func (c *Comm) RecvMsgs() int64 { return c.m.recv[c.rank].msgs.Load() }
+func (c *Comm) RecvMsgs() int64 { return c.m.ranks[c.rank].recv.msgs.Load() }
 
-// barrier is a reusable counting barrier with two wait paths: a
-// condition-variable path for plain transports (no allocation per
-// generation — part of the zero-allocation steady-state exchange) and a
-// release-channel path for Idler transports, which need something they can
-// select on while servicing the wire. The channel is created lazily, only
-// for generations in which a channel-waiter actually arrives, so direct-
-// transport runs never pay for it.
+// barrier is a reusable counting barrier with two wait paths: a wake-slot
+// path for plain transports (no allocation per generation — part of the
+// zero-allocation steady-state exchange) and a release-channel path for
+// Idler transports, which need something they can select on while
+// servicing the wire. The channel is created lazily, only for generations
+// in which a channel-waiter actually arrives, so direct-transport runs
+// never pay for it.
+//
+// Arrival is one atomic add. Only the last arriver takes the mutex, to
+// turn the generation over, and it then wakes each waiting rank through
+// that rank's own one-token slot — a waiter never re-takes a shared lock
+// on its way out, so releasing P ranks costs P channel sends instead of P
+// contended re-acquisitions of one mutex. A waiter re-checks the
+// generation on every wake, so a stale token (left by an abort, or in the
+// slot of a rank that waited on the channel path) costs one spurious
+// wake-up and nothing else.
 type barrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	p       int
-	count   int
-	gen     int
+	ranks   []int           // participants: the machine's local ranks
+	arrived atomic.Int64    // arrivals in the current generation
+	gen     atomic.Int64    // completed generations; never reset
+	aborted atomic.Bool     // epoch abort in progress: release everyone, arrivals void
+	wake    []chan struct{} // per-rank wake slot (capacity 1), indexed by rank
+
+	mu      sync.Mutex    // guards release and the generation turnover
 	release chan struct{} // nil until an Idler arrives this generation
-	aborted bool          // epoch abort in progress: release everyone, arrivals void
 }
 
-func newBarrier(p int) *barrier {
-	b := &barrier{p: p}
-	b.cond.L = &b.mu
+func newBarrier(p int, ranks []int) *barrier {
+	b := &barrier{ranks: ranks, wake: make([]chan struct{}, p)}
+	for _, r := range ranks {
+		b.wake[r] = make(chan struct{}, 1)
+	}
 	return b
 }
 
-// arriveLocked registers one arrival; the last arriver releases both wait
-// paths. Callers hold b.mu.
-func (b *barrier) arriveLocked() {
-	b.count++
-	if b.count == b.p {
-		b.count = 0
-		b.gen++
-		if b.release != nil {
-			close(b.release)
-			b.release = nil
+// arrive registers rank's arrival and, when it is the last, completes
+// the generation.
+func (b *barrier) arrive(rank int) {
+	if b.arrived.Add(1) < int64(len(b.ranks)) {
+		return
+	}
+	b.arrived.Store(0) // nobody arrives again before the wake-up below
+	b.mu.Lock()
+	b.gen.Add(1)
+	if b.release != nil {
+		close(b.release)
+		b.release = nil
+	}
+	b.mu.Unlock()
+	b.wakeAll(rank)
+}
+
+// wakeAll drops a token into every other participant's wake slot.
+func (b *barrier) wakeAll(except int) {
+	for _, r := range b.ranks {
+		if r != except {
+			select {
+			case b.wake[r] <- struct{}{}:
+			default: // a token is already there
+			}
 		}
-		b.cond.Broadcast()
 	}
 }
 
@@ -415,30 +450,28 @@ func (b *barrier) arriveLocked() {
 // generation index (identical for all P participants of one
 // synchronization — the trace's step identifier). Allocation-free.
 // Returns -1 when the wait was cut short by an epoch abort.
-func (b *barrier) await() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
+func (b *barrier) await(rank int) int {
+	if b.aborted.Load() {
 		return -1
 	}
-	gen := b.gen
-	b.arriveLocked()
-	for b.gen == gen && !b.aborted {
-		b.cond.Wait()
+	gen := b.gen.Load()
+	b.arrive(rank)
+	for b.gen.Load() == gen {
+		if b.aborted.Load() {
+			return -1 // released by the abort, not by the last arriver
+		}
+		<-b.wake[rank]
 	}
-	if b.gen == gen {
-		return -1 // released by the abort, not by the last arriver
-	}
-	return gen
+	return int(gen)
 }
 
 // arriveChan arrives and hands back the current generation's release
 // channel — closed when the last rank arrives — so a waiting rank can
 // select on it while doing other work (see Comm.Barrier).
-func (b *barrier) arriveChan() (<-chan struct{}, int) {
+func (b *barrier) arriveChan(rank int) (<-chan struct{}, int) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
+	if b.aborted.Load() {
+		b.mu.Unlock()
 		ch := make(chan struct{})
 		close(ch)
 		return ch, -1
@@ -446,8 +479,9 @@ func (b *barrier) arriveChan() (<-chan struct{}, int) {
 	if b.release == nil {
 		b.release = make(chan struct{})
 	}
-	ch, gen := b.release, b.gen
-	b.arriveLocked()
+	ch, gen := b.release, int(b.gen.Load())
+	b.mu.Unlock()
+	b.arrive(rank)
 	return ch, gen
 }
 
@@ -457,14 +491,14 @@ func (b *barrier) arriveChan() (<-chan struct{}, int) {
 // globally unique in the trace, so a replayed operation's barriers are
 // distinguishable from the aborted attempt's.
 func (b *barrier) abort() {
+	b.aborted.Store(true)
 	b.mu.Lock()
-	b.aborted = true
 	if b.release != nil {
 		close(b.release)
 		b.release = nil
 	}
-	b.cond.Broadcast()
 	b.mu.Unlock()
+	b.wakeAll(-1)
 }
 
 // reset re-arms the barrier for a new epoch: the partial arrivals of the
@@ -472,16 +506,16 @@ func (b *barrier) abort() {
 // the barrier (Handle.Quiesce).
 func (b *barrier) reset() {
 	b.mu.Lock()
-	b.aborted = false
-	b.count = 0
+	b.aborted.Store(false)
+	b.arrived.Store(0)
 	b.release = nil
 	b.mu.Unlock()
 }
 
 // RunConfig bundles the optional knobs of a simulated run.
 type RunConfig struct {
-	// Timeout arms the stall watchdog: when positive and no rank
-	// completes a logical operation for this long, the run aborts with a
+	// Timeout arms the stall watchdog: when positive and no rank enters
+	// or leaves a machine operation for this long, the run aborts with a
 	// *DeadlockError naming each blocked rank. Zero disables the
 	// watchdog. (Unlike a global wall-clock limit, a run that keeps
 	// making progress is never killed.)
@@ -572,9 +606,9 @@ func (m *Machine) reportNow() *Report {
 	return rep
 }
 
-// watch is the per-rank progress monitor: it polls the global progress
-// counter and declares deadlock only after a full window with no logical
-// operation completing anywhere.
+// watch is the stall monitor: it samples every local rank's progress
+// counter and declares deadlock only after a full window in which no
+// rank entered or left a machine operation.
 func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 	poll := timeout / 8
 	if poll < 500*time.Microsecond {
@@ -583,7 +617,7 @@ func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 	if poll > 100*time.Millisecond {
 		poll = 100 * time.Millisecond
 	}
-	last := m.progress.Load()
+	last := m.progress()
 	lastChange := time.Now()
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
@@ -592,7 +626,7 @@ func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 		case <-done:
 			return nil
 		case <-ticker.C:
-			if cur := m.progress.Load(); cur != last {
+			if cur := m.progress(); cur != last {
 				last = cur
 				lastChange = time.Now()
 				continue
@@ -612,6 +646,16 @@ func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 	}
 }
 
+// progress sums the local ranks' progress counters. Each counter only
+// grows, so the sum changes exactly when some rank moved.
+func (m *Machine) progress() uint64 {
+	var sum uint64
+	for _, r := range m.localRanks {
+		sum += m.ranks[r].diag.progress()
+	}
+	return sum
+}
+
 // hostQuiescent reports whether at least one local rank is parked in
 // AwaitHost and every other unfinished local rank is too — the signature
 // of an idle resident session rather than a stalled protocol. Remote
@@ -620,7 +664,7 @@ func (m *Machine) watch(done <-chan struct{}, timeout time.Duration) error {
 func (m *Machine) hostQuiescent() bool {
 	idle := false
 	for _, r := range m.localRanks {
-		kind, _, _, _ := m.diags[r].snapshot()
+		kind, _, _, _ := m.ranks[r].diag.snapshot()
 		switch kind {
 		case BlockDone:
 		case BlockCrashed:
@@ -645,7 +689,7 @@ func (m *Machine) hostQuiescent() bool {
 func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 	e := &DeadlockError{P: m.p, Timeout: timeout}
 	for _, r := range m.localRanks {
-		kind, peer, tag, pending := m.diags[r].snapshot()
+		kind, peer, tag, pending := m.ranks[r].diag.snapshot()
 		switch kind {
 		case BlockDone:
 			continue
@@ -673,7 +717,7 @@ func (m *Machine) panicError() error {
 	var unreach *UnreachableError
 	var crash *CrashError
 	for _, rank := range m.localRanks {
-		pv := m.diags[rank].panicValue()
+		pv := m.ranks[rank].diag.panicValue()
 		switch v := pv.(type) {
 		case nil:
 		case CrashError:

@@ -45,7 +45,7 @@ func TestPayloadPoolClassBound(t *testing.T) {
 	for i := 0; i < maxPooledPerClass+10; i++ {
 		pp.put(make([]float64, 8))
 	}
-	if got := len(pp.classes[8]); got != maxPooledPerClass {
+	if got := len(pp.classes[classIndex(8)]); got != maxPooledPerClass {
 		t.Fatalf("class 8 holds %d buffers, want the %d cap", got, maxPooledPerClass)
 	}
 }
@@ -56,6 +56,39 @@ func TestPayloadPoolClassBound(t *testing.T) {
 // round, because Send draws its defensive copy from the payload pool and
 // RecvInto recycles it on delivery.
 func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
+	checkSteadyStateMallocs(t, func(c *Comm, peer int, src, dst []float64) {
+		if c.Rank() == 0 {
+			c.Send(peer, 7, src)
+			c.RecvInto(peer, 7, dst)
+		} else {
+			c.RecvInto(peer, 7, dst)
+			c.Send(peer, 7, src)
+		}
+		c.Barrier()
+	})
+}
+
+// TestSteadyStateOneWayExchangeZeroAlloc is the same guarantee for
+// one-way traffic: rank 0 only sends and rank 1 only receives, in the
+// superstep order (send, barrier, receive). A received buffer must go
+// back to the pool its sender draws from; a pool that kept it on the
+// receiving side would make every one of rank 0's Sends allocate.
+func TestSteadyStateOneWayExchangeZeroAlloc(t *testing.T) {
+	checkSteadyStateMallocs(t, func(c *Comm, peer int, src, dst []float64) {
+		if c.Rank() == 0 {
+			c.Send(peer, 7, src)
+			c.Barrier()
+		} else {
+			c.Barrier()
+			c.RecvInto(peer, 7, dst)
+		}
+	})
+}
+
+// checkSteadyStateMallocs runs exchange for 200 rounds on two ranks after
+// a warm-up and fails when the rounds allocate. Every round must send
+// one message from rank 0 to rank 1.
+func checkSteadyStateMallocs(t *testing.T, exchange func(c *Comm, peer int, src, dst []float64)) {
 	const p = 2
 	const words = 96
 	const rounds = 200
@@ -65,35 +98,25 @@ func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
 		peer := 1 - me
 		src := make([]float64, words)
 		dst := make([]float64, words)
-		exchange := func() {
-			if me == 0 {
-				c.Send(peer, 7, src)
-				c.RecvInto(peer, 7, dst)
-			} else {
-				c.RecvInto(peer, 7, dst)
-				c.Send(peer, 7, src)
-			}
-			c.Barrier()
-		}
 		for i := 0; i < 3; i++ { // warm the pool and the barrier path
-			exchange()
+			exchange(c, peer, src, dst)
 		}
 		c.Barrier()
 		if me == 0 {
-			// Measure from rank 0 only; rank 1 mirrors the same loop, so
+			// Measure from rank 0 only; rank 1 runs the same rounds, so
 			// any allocation on either side shows up in the global
 			// malloc counter read after both ranks pass the barrier.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < rounds; i++ {
-				exchange()
+				exchange(c, peer, src, dst)
 			}
 			runtime.ReadMemStats(&after)
 			mallocs = after.Mallocs - before.Mallocs
 		} else {
 			for i := 0; i < rounds; i++ {
-				exchange()
+				exchange(c, peer, src, dst)
 			}
 		}
 	})
@@ -104,8 +127,8 @@ func TestSteadyStateExchangeZeroAlloc(t *testing.T) {
 		t.Fatalf("sent words %d, want %d", rep.SentWords[0], want)
 	}
 	// ReadMemStats itself and the runtime's background activity can
-	// account for a handful of mallocs; the loop moves 400 messages, so a
-	// per-message allocation would show up as >=400.
+	// account for a handful of mallocs; the loop moves at least 200
+	// messages, so a per-message allocation would show up as >=200.
 	if mallocs > 50 {
 		t.Fatalf("steady-state exchange performed %d mallocs over %d rounds, want ~0 — Send or RecvInto is allocating per message", mallocs, rounds)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -226,4 +227,132 @@ func TestReportStringAndMaxRecvMsgs(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, frag)
 		}
 	}
+}
+
+// TestBarrierAbortReleasesWaiters drives the barrier's abort path
+// directly: ranks parked at a barrier that can never complete (one rank
+// never arrives) must unwind with the abort sentinel when the epoch is
+// aborted, the machine must quiesce, and after BeginEpoch the barrier
+// must work again with a generation that did not go backwards.
+func TestBarrierAbortReleasesWaiters(t *testing.T) {
+	const p = 4
+	ops := make([]chan struct{}, p)
+	for r := range ops {
+		ops[r] = make(chan struct{}, 1)
+	}
+	type outcome struct {
+		rank    int
+		aborted bool
+	}
+	results := make(chan outcome, p)
+	var mu sync.Mutex
+	perRank := make([][]int, p) // barrier generations each rank passed
+	observe := func(e Event) {
+		if e.Kind == EventBarrier {
+			mu.Lock()
+			perRank[e.Rank] = append(perRank[e.Rank], e.Step)
+			mu.Unlock()
+		}
+	}
+	h, err := StartWith(p, RunConfig{Observer: observe}, func(c *Comm) {
+		for {
+			var ok bool
+			c.AwaitHost(func() { _, ok = <-ops[c.Rank()] })
+			if !ok {
+				return
+			}
+			res := outcome{rank: c.Rank()}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if !IsAbort(r) {
+							panic(r)
+						}
+						res.aborted = true
+					}
+				}()
+				c.Barrier()
+			}()
+			results <- res
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < p; r++ { // rank 0 never arrives
+		ops[r] <- struct{}{}
+	}
+	for r := 1; r < p; r++ {
+		for kind, _, _ := h.m.ranks[r].diag.block(); kind != BlockBarrier; kind, _, _ = h.m.ranks[r].diag.block() {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	h.Abort()
+	for r := 1; r < p; r++ {
+		if res := <-results; !res.aborted {
+			t.Errorf("rank %d left an incomplete barrier without the abort sentinel", res.rank)
+		}
+	}
+	if err := h.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	h.BeginEpoch()
+	for round := 0; round < 2; round++ {
+		for r := 0; r < p; r++ {
+			ops[r] <- struct{}{}
+		}
+		for r := 0; r < p; r++ {
+			if res := <-results; res.aborted {
+				t.Errorf("round %d: rank %d aborted after BeginEpoch", round, res.rank)
+			}
+		}
+	}
+	for r := range ops {
+		close(ops[r])
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// Every rank passed generations 0 and 1 after the recovery — the
+	// aborted generation never completed, so it left no gap — and no
+	// rank logged a barrier the others did not.
+	for r, gens := range perRank {
+		if len(gens) != 2 || gens[0] != 0 || gens[1] != 1 {
+			t.Errorf("rank %d barrier generations %v, want [0 1]", r, gens)
+		}
+	}
+}
+
+// TestBlockStateNeverTorn pins the block state's consistency: a reader
+// racing the rank's transitions must never pair BlockSend or BlockRecv
+// with a peer and tag that were not published with it — in particular
+// not with the -1/-1 of a rank parking for the host after an abort
+// unwound it mid-receive.
+func TestBlockStateNeverTorn(t *testing.T) {
+	var d rankDiag
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d.setBlocked(BlockRecv, i%64, 100+i%64)
+			d.parkForHost() // the abort path: still BlockRecv, peer/tag overwritten
+		}
+	}()
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		kind, peer, tag := d.block()
+		if kind == BlockRecv && (peer < 0 || tag != 100+peer) {
+			close(stop)
+			<-done
+			t.Fatalf("torn block state: kind %v with peer %d, tag %d", kind, peer, tag)
+		}
+	}
+	close(stop)
+	<-done
 }

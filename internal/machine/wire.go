@@ -140,7 +140,7 @@ type EpochAdopter interface {
 //
 // It stays optional because the direct transport has nothing to service:
 // forcing an Idle on it would move its barrier off the allocation-free
-// condition-variable path onto the release-channel one.
+// wake-slot path onto the release-channel one.
 type Idler interface {
 	Transport
 	// Idle services incoming packets in full until stop is closed; the
@@ -188,7 +188,7 @@ func (l *link) Deliver(pkt Packet) {
 		panic(fmt.Sprintf("machine: deliver to rank %d of %d", pkt.To, l.m.p))
 	}
 	pkt.Epoch = l.m.epoch.Load()
-	l.m.wireSent[l.rank].add(l.raw.PacketCost(pkt))
+	l.m.ranks[l.rank].wireSent.add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
 		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 	}
@@ -207,7 +207,7 @@ func (l *link) Pull() Packet {
 		if pkt.Epoch != l.m.epoch.Load() {
 			continue // stale retransmission from a pre-recovery epoch
 		}
-		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
+		l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -224,7 +224,7 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 		return Packet{}, false
 	}
 	if ok {
-		l.m.wireRecv[l.rank].add(l.raw.PacketCost(pkt))
+		l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
 			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 		}
@@ -237,7 +237,7 @@ func (l *link) Aborting() bool { return l.m.aborting.Load() }
 func (l *link) Epoch() int64 { return l.m.epoch.Load() }
 
 func (l *link) Pending(entries []PendingEntry) {
-	l.m.diags[l.rank].setPending(entries)
+	l.m.ranks[l.rank].diag.setPending(entries)
 }
 
 // directTransport is the default transport: a logical message is exactly

@@ -411,3 +411,71 @@ func TestServingMetricsJSONL(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaySuperstepOrderKeepsMakespan replays one two-step exchange in
+// both per-step orders a rank can use — send, receive, barrier; or send,
+// barrier, receive (the superstep order parallel.Session runs) — and
+// checks the replay charges them identically: the same makespan and the
+// same per-rank finish and send time. Only the waiting moves: in the
+// superstep order every message has landed by the time the barrier opens,
+// so the time a rank spent waiting on a receive becomes barrier wait.
+func TestReplaySuperstepOrderKeepsMakespan(t *testing.T) {
+	const p, steps = 3, 2
+	words := [p][steps]int{{5, 1}, {2, 7}, {9, 3}}
+	trace := func(recvFirst bool) *Trace {
+		var events []machine.Event
+		for r := 0; r < p; r++ {
+			var seq int64
+			add := func(e machine.Event) {
+				e.Rank, e.Seq = r, seq
+				seq++
+				events = append(events, e)
+			}
+			from := (r + p - 1) % p
+			for s := 0; s < steps; s++ {
+				send := machine.Event{Kind: machine.EventSend, From: r, To: (r + 1) % p, Tag: 100 + s, Words: words[r][s], Step: -1}
+				recv := machine.Event{Kind: machine.EventRecv, From: from, To: r, Tag: 100 + s, Words: words[from][s], Step: -1}
+				barrier := machine.Event{Kind: machine.EventBarrier, From: r, To: r, Step: s}
+				add(send)
+				if recvFirst {
+					add(recv)
+					add(barrier)
+				} else {
+					add(barrier)
+					add(recv)
+				}
+			}
+		}
+		return NewTrace(events)
+	}
+	model := TimeModel{Alpha: 1, Beta: 0.5, Gamma: 0}
+	old, err := Replay(trace(true), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	super, err := Replay(trace(false), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each step costs the longest message: max(1+0.5·w) over the senders.
+	if want := (1 + 0.5*9) + (1 + 0.5*7); old.Makespan() != want || super.Makespan() != want {
+		t.Fatalf("makespan: send-recv-barrier %g, send-barrier-recv %g, want %g", old.Makespan(), super.Makespan(), want)
+	}
+	moved := 0.0
+	for r := 0; r < p; r++ {
+		if old.Finish[r] != super.Finish[r] || old.SendTime[r] != super.SendTime[r] {
+			t.Errorf("rank %d: finish %g/%g, send %g/%g differ between orders",
+				r, old.Finish[r], super.Finish[r], old.SendTime[r], super.SendTime[r])
+		}
+		if super.RecvWait[r] != 0 {
+			t.Errorf("rank %d: superstep order waits %g on a receive, want 0", r, super.RecvWait[r])
+		}
+		if got, want := super.BarrierWait[r], old.BarrierWait[r]+old.RecvWait[r]; got != want {
+			t.Errorf("rank %d: superstep barrier wait %g, want old barrier+recv wait %g", r, got, want)
+		}
+		moved += old.RecvWait[r]
+	}
+	if moved == 0 {
+		t.Fatal("fixture has no receive wait to move; pick word counts that make a rank wait")
+	}
+}

@@ -60,7 +60,7 @@ func newExchangeOp(w Wiring, lay *sessionLayout, contribute func(me int, rk *ses
 func denseContribute(exec *sttsv.Executor, blocks *RankBlocks) func(me int, rk *sessionRank, cols int) int64 {
 	return func(me int, rk *sessionRank, cols int) int64 {
 		var st sttsv.Stats
-		exec.ContributeCols(rk.scratch, blocks.Rank(me), rk.b, cols, rk.xRowCol, rk.yRowCol, &st)
+		exec.ContributeCols(rk.scratch, blocks.Rank(me), rk.b, cols, rk.xRow, rk.yRow, &st)
 		return st.TernaryMults
 	}
 }

@@ -368,3 +368,32 @@ func BenchmarkAlg5Q2(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionApplyQ4B6 times one warm resident-session Apply at the
+// handoff-bound point q = 4, b = 6 (n = 102, P = 68): 110 barrier-separated
+// exchange steps around a local phase of about n³/2 ternary
+// multiplications.
+func BenchmarkSessionApplyQ4B6(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	part := sphericalPart(b, 4)
+	const blockEdge = 6
+	n := part.M * blockEdge
+	s, err := OpenSession(tensor.Random(n, rng), Options{Part: part, B: blockEdge, Wiring: WiringP2P})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	x := randVec(n, rng)
+	for i := 0; i < 3; i++ {
+		if _, err := s.Apply(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Apply(x); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -197,6 +197,9 @@ func (s *Session) rankBodyFor(l *launch) func(c *machine.Comm) {
 			if op == nil {
 				return
 			}
+			if op.stale(c) {
+				continue // abandoned by a recovery; the replay op follows
+			}
 			if e := c.Epoch(); e != epoch {
 				if c.Refence(l.resetsFor(me)) {
 					s.refences.Add(1)
@@ -252,7 +255,7 @@ func (s *Session) dispatch(pr *phaseRecorder, dk dirtyKind, run func(me int, c *
 // the operation's error.
 func (s *Session) dispatchOnce(run func(me int, c *machine.Comm)) error {
 	l := s.cur
-	op := &sessionOp{run: run, done: make(chan struct{})}
+	op := &sessionOp{run: run, done: make(chan struct{}), epoch: l.h.Epoch()}
 	op.pending.Store(int64(s.part.P))
 	for r := range l.ops {
 		select {
@@ -337,7 +340,7 @@ func (s *Session) dispatchRecover(pr *phaseRecorder, dk dirtyKind, run func(me i
 // notification, or machine death.
 func (s *Session) tryOnce(run func(me int, c *machine.Comm)) (ok, dead bool) {
 	l := s.cur
-	op := &sessionOp{run: run, done: make(chan struct{})}
+	op := &sessionOp{run: run, done: make(chan struct{}), epoch: l.h.Epoch()}
 	op.pending.Store(int64(s.part.P))
 	for r := range l.ops {
 		select {

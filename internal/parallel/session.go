@@ -21,7 +21,7 @@ import (
 // (Comm.AwaitHost), so the machine, its transports, the packed tensor
 // blocks, and every pack/unpack buffer survive from one application to the
 // next. After one warm-up application the per-rank exchange path (pack →
-// Send → RecvInto → unpack → Barrier) performs no allocations.
+// Send → Barrier → RecvInto → unpack) performs no allocations.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -70,6 +70,21 @@ type sessionOp struct {
 	run     func(me int, c *machine.Comm)
 	pending atomic.Int64
 	done    chan struct{}
+	epoch   int64 // machine epoch the op was dispatched in (see stale)
+}
+
+// stale reports whether a rank that has just taken op must drop it
+// instead of running it: an abort began (or a recovery already ran)
+// after the host dispatched it. A rank that took its op off the channel
+// but had not yet left AwaitHost still reads as parked, so the
+// recovery supervisor can pass Quiesce, drain the channels and roll back
+// without seeing it; it must then not touch its arenas or run the
+// abandoned op in the new epoch. Called after AwaitHost returns: the
+// rank's leaving the park is ordered after the supervisor's abort, so
+// the rank sees either the abort flag or, once BeginEpoch has cleared
+// it, the advanced epoch.
+func (op *sessionOp) stale(c *machine.Comm) bool {
+	return c.Aborting() || c.Epoch() != op.epoch
 }
 
 // sessionRank is one rank's resident state: dense arenas replacing the
@@ -276,15 +291,18 @@ func (s *Session) Report() *machine.Report { return s.report }
 
 // pack copies the segments' chunks (per row, then per column — the seed's
 // payload order) from the arena into buf, returning the payload length.
+// A chunk is a few words, so pack and unpackCopy move them with a plain
+// loop rather than a copy call per chunk.
 func (rk *sessionRank) pack(buf, arena []float64, segs []segment, cols int) int {
 	b, stride := rk.b, rk.stride()
 	pos := 0
 	for _, sg := range segs {
-		base := sg.k * stride
 		n := sg.hi - sg.lo
+		src := arena[sg.k*stride+sg.lo:]
 		for l := 0; l < cols; l++ {
-			o := base + l*b
-			copy(buf[pos:pos+n], arena[o+sg.lo:o+sg.hi])
+			for t, v := range src[l*b : l*b+n] {
+				buf[pos+t] = v
+			}
 			pos += n
 		}
 	}
@@ -296,11 +314,12 @@ func (rk *sessionRank) unpackCopy(payload, arena []float64, segs []segment, cols
 	b, stride := rk.b, rk.stride()
 	pos := 0
 	for _, sg := range segs {
-		base := sg.k * stride
 		n := sg.hi - sg.lo
+		dst := arena[sg.k*stride+sg.lo:]
 		for l := 0; l < cols; l++ {
-			o := base + l*b
-			copy(arena[o+sg.lo:o+sg.hi], payload[pos:pos+n])
+			for t, v := range payload[pos : pos+n] {
+				dst[l*b+t] = v
+			}
 			pos += n
 		}
 	}
@@ -326,32 +345,38 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 // exchangeP2P runs one of the step's two vector exchanges over the
 // point-to-point schedule: gather copies the peers' chunks of the owned x
 // rows in; reduce-scatter adds the peers' partials into the owned y
-// chunks.
+// chunks. Each schedule step is a BSP superstep: post the step's send,
+// cross the barrier, then drain the step's receive. A message posted in a
+// step has been delivered by the time that step's barrier opens, so on
+// the direct transport the receive finds it waiting and a rank parks once
+// per step (at the barrier) instead of once more for a sender that has
+// not run yet. A step's receive still precedes the next step's send, so
+// the data each rank forwards is what the schedule expects.
 func (rk *sessionRank) exchangeP2P(c *machine.Comm, cols int, gather bool) {
+	arena, tag := rk.xA, 100
+	if !gather {
+		arena, tag = rk.yA, 200
+	}
 	for si := range rk.lay.steps {
 		st := &rk.lay.steps[si]
-		if gather {
-			if st.sendTo >= 0 {
-				n := rk.pack(rk.sendBuf, rk.xA, st.gSend, cols)
-				c.Send(st.sendTo, 100+si, rk.sendBuf[:n])
-			}
-			if st.recvFrom >= 0 {
-				w := st.gRecvW * cols
-				c.RecvInto(st.recvFrom, 100+si, rk.recvBuf[:w])
-				rk.unpackCopy(rk.recvBuf[:w], rk.xA, st.gRecv, cols)
-			}
-		} else {
-			if st.sendTo >= 0 {
-				n := rk.pack(rk.sendBuf, rk.yA, st.sSend, cols)
-				c.Send(st.sendTo, 200+si, rk.sendBuf[:n])
-			}
-			if st.recvFrom >= 0 {
-				w := st.sRecvW * cols
-				c.RecvInto(st.recvFrom, 200+si, rk.recvBuf[:w])
-				rk.unpackAdd(rk.recvBuf[:w], rk.yA, st.sRecv, cols)
-			}
+		sendSegs, recvSegs, recvW := st.gSend, st.gRecv, st.gRecvW
+		if !gather {
+			sendSegs, recvSegs, recvW = st.sSend, st.sRecv, st.sRecvW
+		}
+		if st.sendTo >= 0 {
+			n := rk.pack(rk.sendBuf, arena, sendSegs, cols)
+			c.Send(st.sendTo, tag+si, rk.sendBuf[:n])
 		}
 		c.Barrier() // stepwise semantics of §7.2
+		if st.recvFrom >= 0 {
+			w := recvW * cols
+			c.RecvInto(st.recvFrom, tag+si, rk.recvBuf[:w])
+			if gather {
+				rk.unpackCopy(rk.recvBuf[:w], arena, recvSegs, cols)
+			} else {
+				rk.unpackAdd(rk.recvBuf[:w], arena, recvSegs, cols)
+			}
+		}
 	}
 }
 
@@ -429,7 +454,18 @@ func (rk *sessionRank) publish(stageY [][]float64, cols int) {
 
 func (rk *sessionRank) zeroY() { clear(rk.yA) }
 
-// xRowCol and yRowCol are the executor's arena accessors.
+// xRow and yRow return row block i of every column (column l at words
+// [l·b, (l+1)·b)); xRowCol and yRowCol return one column's row block.
+func (rk *sessionRank) xRow(i int) []float64 {
+	base := rk.lay.rowIdx[i] * rk.stride()
+	return rk.xA[base : base+rk.stride()]
+}
+
+func (rk *sessionRank) yRow(i int) []float64 {
+	base := rk.lay.rowIdx[i] * rk.stride()
+	return rk.yA[base : base+rk.stride()]
+}
+
 func (rk *sessionRank) xRowCol(i, l int) []float64 {
 	base := rk.lay.rowIdx[i]*rk.stride() + l*rk.b
 	return rk.xA[base : base+rk.b]

@@ -264,3 +264,73 @@ func TestTraceConformancePowerMethod(t *testing.T) {
 		}
 	}
 }
+
+// TestP2PStepReceivesFollowBarrier pins the superstep order of the
+// point-to-point exchange: on every rank, in both phases, step s's send
+// (tag 100+s in the gather, 200+s in the reduce-scatter) is posted after
+// the rank's previous barrier and before step s's barrier, and the
+// matching receive is drained after step s's barrier and before the next
+// one. A receive ahead of its step's barrier would make the rank wait for
+// a sender that may not have run yet.
+func TestP2PStepReceivesFollowBarrier(t *testing.T) {
+	const q = 2
+	part := sphericalPart(t, q)
+	b := 6
+	n := part.M * b
+	var rec obs.Recorder
+	s, err := OpenSession(tensor.Random(n, rand.New(rand.NewSource(9))), Options{
+		Part: part, B: b, Wiring: WiringP2P,
+		Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Apply(randVec(n, rand.New(rand.NewSource(10)))); err != nil {
+		t.Fatal(err)
+	}
+	steps := schedule.TheoreticalSteps(q)
+	checked := 0
+	for r, evs := range rec.Trace().Logical().PerRank() {
+		for _, ph := range []struct {
+			label string
+			base  int
+		}{{"gather", 100}, {"reduce-scatter", 200}} {
+			// barriers[s] is the position of step s's barrier in the
+			// rank's event sequence; -1 and len(evs) bound the first and
+			// last steps.
+			barriers := []int{-1}
+			for i, e := range evs {
+				if e.Phase == ph.label && e.Kind == machine.EventBarrier {
+					barriers = append(barriers, i)
+				}
+			}
+			if len(barriers)-1 != steps {
+				t.Fatalf("rank %d %s: %d barriers, want %d", r, ph.label, len(barriers)-1, steps)
+			}
+			barriers = append(barriers, len(evs))
+			for i, e := range evs {
+				if e.Phase != ph.label || (e.Kind != machine.EventSend && e.Kind != machine.EventRecv) {
+					continue
+				}
+				st := e.Tag - ph.base
+				if st < 0 || st >= steps {
+					t.Fatalf("rank %d %s: tag %d outside the phase's steps", r, ph.label, e.Tag)
+				}
+				// barriers[st+1] is step st's barrier.
+				lo, hi := barriers[st], barriers[st+1]
+				if e.Kind == machine.EventRecv {
+					lo, hi = barriers[st+1], barriers[st+2]
+				}
+				if i <= lo || i >= hi {
+					t.Errorf("rank %d %s: %s tag %d (step %d) at event %d, want it strictly between events %d and %d",
+						r, ph.label, e.Kind, e.Tag, st, i, lo, hi)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("trace holds no point-to-point messages")
+	}
+}

@@ -165,16 +165,29 @@ func (e *Executor) ContributeWith(sc *Scratch, blocks []*tensor.Block, b int, xR
 }
 
 // ContributeCols applies the block list to cols independent right-hand
-// sides: xRow(i, l) and yRow(i, l) address the length-b row block of row i
-// for column l. Columns are processed one at a time through ContributeWith,
-// so column l's output bits are identical to a single-column Contribute
-// over that column — batching changes the communication schedule (see
-// parallel.Session.ApplyBatch), never the arithmetic.
-func (e *Executor) ContributeCols(sc *Scratch, blocks []*tensor.Block, b, cols int, xRow, yRow func(i, l int) []float64, stats *Stats) {
-	for l := 0; l < cols; l++ {
-		l := l
+// sides stored column after column: xRow(i) and yRow(i) return row block
+// i of every column, column l at words [l·b, (l+1)·b). Each column sees
+// the blocks in input order with the same per-worker grouping as a
+// single-column Contribute, so column l's output bits are identical to
+// that call — batching changes the communication schedule (see
+// parallel.Session.ApplyBatch), never the arithmetic. With one worker the
+// columns run inside the block loop, so a block's values are loaded once
+// for all of them.
+func (e *Executor) ContributeCols(sc *Scratch, blocks []*tensor.Block, b, cols int, xRow, yRow func(i int) []float64, stats *Stats) {
+	if e.workers <= 1 || len(blocks) <= 1 {
+		for _, blk := range blocks {
+			xI, xJ, xK := xRow(blk.I), xRow(blk.J), xRow(blk.K)
+			yI, yJ, yK := yRow(blk.I), yRow(blk.J), yRow(blk.K)
+			for o := 0; o < cols*b; o += b {
+				e.contribute(blk, xI[o:o+b], xJ[o:o+b], xK[o:o+b], yI[o:o+b], yJ[o:o+b], yK[o:o+b], stats)
+			}
+		}
+		return
+	}
+	for o := 0; o < cols*b; o += b {
+		o := o
 		e.ContributeWith(sc, blocks, b,
-			func(i int) []float64 { return xRow(i, l) },
-			func(i int) []float64 { return yRow(i, l) }, stats)
+			func(i int) []float64 { return xRow(i)[o : o+b] },
+			func(i int) []float64 { return yRow(i)[o : o+b] }, stats)
 	}
 }

@@ -129,3 +129,46 @@ func TestBlockedScratchReuse(t *testing.T) {
 		t.Fatalf("Blocked allocates %.0f objects per run, want a small constant", large)
 	}
 }
+
+// TestContributeColsMatchesContribute: every column of a multi-column
+// application must be bit-identical to a single-column Contribute over
+// that column, with one worker (columns inside the block loop) and with
+// several (one fan-out per column).
+func TestContributeColsMatchesContribute(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	const n, m, cols = 24, 4, 3
+	a := tensor.Random(n, rng)
+	op := NewOperator(a, m, 1)
+	b, blocks := op.B(), op.Packed().Blocks
+	// Row i of every column, column l at [l·b, (l+1)·b) — the session
+	// arena's layout.
+	x := randVec(m*cols*b, rng)
+	row := func(v []float64) func(int) []float64 {
+		return func(i int) []float64 { return v[i*cols*b : (i+1)*cols*b] }
+	}
+	for _, workers := range []int{1, 3} {
+		e := NewExecutor(workers)
+		y := make([]float64, m*cols*b)
+		var st Stats
+		e.ContributeCols(NewScratch(), blocks, b, cols, row(x), row(y), &st)
+		for l := 0; l < cols; l++ {
+			col := func(v []float64) func(int) []float64 {
+				return func(i int) []float64 { return v[(i*cols+l)*b : (i*cols+l+1)*b] }
+			}
+			want := make([]float64, m*cols*b)
+			var stOne Stats
+			e.Contribute(blocks, b, col(x), col(want), &stOne)
+			if st.TernaryMults != int64(cols)*stOne.TernaryMults {
+				t.Fatalf("workers=%d: %d ternary mults, want %d", workers, st.TernaryMults, int64(cols)*stOne.TernaryMults)
+			}
+			for i := 0; i < m; i++ {
+				got, exp := col(y)(i), col(want)(i)
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(exp[k]) {
+						t.Fatalf("workers=%d column %d: y[%d][%d] = %g, single-column %g", workers, l, i, k, got[k], exp[k])
+					}
+				}
+			}
+		}
+	}
+}
