@@ -29,8 +29,10 @@
 //	GET  /v1/info     serving configuration
 //
 // A full admission queue answers 429 with a Retry-After header derived
-// from the pool's measured batch service time. On SIGINT/SIGTERM the
-// server stops admitting, drains every queued request, and exits.
+// from the pool's measured batch service time. A malformed request or a
+// wrong-length x answers 400, a body too large for n floats 413, and a
+// failed batch 500. On SIGINT/SIGTERM the server stops admitting, drains
+// every queued request, and exits.
 package main
 
 import (
@@ -100,6 +102,25 @@ type server struct {
 	info infoResponse
 }
 
+// Read deadlines of the HTTP server: a slow or stalled client cannot
+// hold a connection, and the goroutine serving it, open indefinitely.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+)
+
+// newHTTPServer is the server's HTTP front end on addr, with its read
+// deadlines.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+}
+
+// maxApplyBody bounds an /v1/apply body for serving dimension n: room for
+// n floats at their longest JSON spelling (24 bytes, e.g.
+// -1.2345678901234567e-308, plus a separator), with 64 KiB to spare for
+// the tenant name and whitespace.
+func maxApplyBody(n int) int64 { return int64(n)*32 + 64<<10 }
+
 // writeJSON encodes v before committing the status line, so a value that
 // cannot be encoded turns into a JSON error (500, the server's fault)
 // instead of the intended status with an empty body.
@@ -131,7 +152,14 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req applyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxApplyBody(s.pool.Dim()))
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
 		return
 	}
@@ -174,8 +202,11 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(math.Ceil(be.RetryAfter.Seconds()))))
 		}
 		writeJSON(w, http.StatusTooManyRequests, resp)
-	default:
+	case errors.As(err, new(*serve.DimError)):
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	default:
+		// Anything else is a batch the engine failed to serve.
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
 }
 
@@ -312,7 +343,7 @@ func main() {
 	mux.HandleFunc("/v1/apply", srv.handleApply)
 	mux.HandleFunc("/v1/metrics", srv.handleMetrics)
 	mux.HandleFunc("/v1/info", srv.handleInfo)
-	hs := &http.Server{Addr: *addr, Handler: mux}
+	hs := newHTTPServer(*addr, mux)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

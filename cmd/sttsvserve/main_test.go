@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
+	"repro/internal/machine"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/serve"
@@ -19,6 +21,12 @@ import (
 // tensor (n = 10) through the real apply handler.
 func newTestServer(t *testing.T) (*httptest.Server, int) {
 	t.Helper()
+	return newTestServerOn(t, machine.RunConfig{})
+}
+
+// newTestServerOn is newTestServer with the sessions' machine config.
+func newTestServerOn(t *testing.T, mc machine.RunConfig) (*httptest.Server, int) {
+	t.Helper()
 	part, err := partition.NewSpherical(2)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +34,7 @@ func newTestServer(t *testing.T) (*httptest.Server, int) {
 	const b = 2
 	n := part.M * b
 	pool, err := serve.Open(tensor.Random(n, rand.New(rand.NewSource(1))), serve.Options{
-		Session:  parallel.Options{Part: part, B: b},
+		Session:  parallel.Options{Part: part, B: b, Machine: mc},
 		Sessions: 1, MaxCols: 2, MaxWait: time.Millisecond,
 	})
 	if err != nil {
@@ -53,6 +61,12 @@ func postApply(t *testing.T, url string, x []float64) (int, map[string]any) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, req)
+}
+
+// postBody is postApply with a raw request body.
+func postBody(t *testing.T, url string, req []byte) (int, map[string]any) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/apply", "application/json", bytes.NewReader(req))
 	if err != nil {
 		t.Fatal(err)
@@ -110,5 +124,58 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	var body errorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Fatalf("body %q (%v), want a JSON error", rec.Body.String(), err)
+	}
+}
+
+// TestApplyWrongLengthIsBadRequest: an x of the wrong length is the
+// caller's error.
+func TestApplyWrongLengthIsBadRequest(t *testing.T) {
+	hs, n := newTestServer(t)
+	status, body := postApply(t, hs.URL, make([]float64, n-1))
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, body %v, want %d", status, body, http.StatusBadRequest)
+	}
+}
+
+// TestApplyEngineFailureIsServerError: a batch the engine fails to serve
+// (here a rank crash on a session without recovery) is the server's
+// fault — 500, not the 400 of a malformed request.
+func TestApplyEngineFailureIsServerError(t *testing.T) {
+	hs, n := newTestServerOn(t, machine.RunConfig{
+		Transport: fault.TransportRecoverable(fault.Plan{Seed: 3, Crash: map[int]int{1: 4}},
+			fault.ReliableOptions{MaxAttempts: 1 << 20}),
+		Timeout: 300 * time.Millisecond,
+	})
+	status, body := postApply(t, hs.URL, make([]float64, n))
+	if status != http.StatusInternalServerError {
+		t.Fatalf("status %d, body %v, want %d", status, body, http.StatusInternalServerError)
+	}
+}
+
+// TestApplyOversizedBodyIsRejected: a body longer than n floats can
+// need is cut off at the bound with 413 — even when it is valid JSON
+// padded with whitespace, which an unbounded decoder would read to the
+// end.
+func TestApplyOversizedBodyIsRejected(t *testing.T) {
+	hs, n := newTestServer(t)
+	x, err := json.Marshal(make([]float64, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append([]byte(`{"tenant":"t","x":`), x...)
+	body = append(body, bytes.Repeat([]byte(" "), int(maxApplyBody(n)))...)
+	body = append(body, '}')
+	status, resp := postBody(t, hs.URL, body)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, body %v, want %d", status, resp, http.StatusRequestEntityTooLarge)
+	}
+}
+
+// TestHTTPServerHasReadDeadlines: the front end must bound how long a
+// client may take to send its headers and its body.
+func TestHTTPServerHasReadDeadlines(t *testing.T) {
+	hs := newHTTPServer(":0", http.NewServeMux())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, ReadTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.ReadTimeout)
 	}
 }

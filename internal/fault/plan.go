@@ -98,7 +98,9 @@ func (p Plan) String() string {
 //	seed=42,drop=0.1,dup=0.05,reorder=0.2,corrupt=0.02,stall=0.01,stalldelay=2ms,crash=3@40
 //
 // Keys: seed=<int>, drop/dup/reorder/corrupt/stall/reset=<prob in [0,1]>,
-// stalldelay=<duration>, crash=<rank>@<op> (repeatable), maxfaults=<int>.
+// stalldelay=<duration ≥ 0>, crash=<rank>@<op> (repeatable),
+// maxfaults=<int ≥ 0>. Every accepted spec round-trips: ParsePlan of the
+// plan's String is the same plan.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	spec = strings.TrimSpace(spec)
@@ -133,9 +135,13 @@ func ParsePlan(spec string) (Plan, error) {
 		case "reset":
 			p.Reset, err = parseProb(val)
 		case "stalldelay":
-			p.StallDelay, err = time.ParseDuration(val)
+			if p.StallDelay, err = time.ParseDuration(val); err == nil && p.StallDelay < 0 {
+				err = fmt.Errorf("negative delay %v", p.StallDelay)
+			}
 		case "maxfaults":
-			p.MaxFaults, err = strconv.Atoi(val)
+			if p.MaxFaults, err = strconv.Atoi(val); err == nil && p.MaxFaults < 0 {
+				err = fmt.Errorf("negative cap %d", p.MaxFaults)
+			}
 		case "crash":
 			rs, os, ok := strings.Cut(val, "@")
 			if !ok {
@@ -169,7 +175,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) { // NaN fails both comparisons
 		return 0, fmt.Errorf("probability %g outside [0, 1]", v)
 	}
 	return v, nil

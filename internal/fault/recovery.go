@@ -8,10 +8,10 @@ import (
 
 // CrashRegistry remembers which ranks have already fired their scheduled
 // crash, shared across every transport incarnation of a recovering
-// session — the original launch, respawned ranks, and degraded
-// relaunches all consult the same registry. Without it a respawned
-// rank's fresh injector would reset its delivery clock and re-fire the
-// same crash forever, so no retry budget could ever converge.
+// session — the original launch and every relaunch consult the same
+// registry. Without it a relaunched rank's fresh injector would reset its
+// delivery clock and re-fire the same crash forever, so no relaunch
+// budget could ever converge.
 type CrashRegistry struct {
 	mu    sync.Mutex
 	fired map[int]bool
@@ -34,7 +34,7 @@ func (cr *CrashRegistry) claim(rank int) bool {
 // TransportRecoverable builds the transport factory for a crash-recovery
 // session: the reliable protocol over the plan's injected wire, with all
 // crash faults sharing one registry so a recovered rank stays recovered
-// across respawns and degraded relaunches.
+// across relaunches.
 func TransportRecoverable(plan Plan, opt ReliableOptions) machine.TransportFactory {
 	reg := &CrashRegistry{}
 	return func(w machine.Wire) machine.Transport {

@@ -2,7 +2,7 @@ package fault_test
 
 // The chaos-recovery suite: for a grid of seeded crash schedules ×
 // wirings × partition sizes, a session opened with Options.Recovery must
-// absorb rank deaths mid-run — respawn the dead ranks, fence the stale
+// absorb rank deaths mid-run — relaunch the machine, fence the stale
 // wire traffic behind a new epoch, roll every rank back to the last
 // checkpoint, and replay — and still reproduce the crash-free session
 // bit-identically: same Y bits, same per-phase meters, same logical
@@ -11,6 +11,7 @@ package fault_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestChaosRecoverySession(t *testing.T) {
 								Timeout:   2 * time.Second,
 								Observer:  rec.Observer(),
 							},
-							Recovery: &parallel.RecoveryOptions{},
+							Recovery: true,
 						}, a, xs)
 
 						for k := range want.ys {
@@ -148,8 +149,8 @@ func TestChaosRecoverySession(t *testing.T) {
 						if got.stats.Rollbacks < 1 {
 							t.Errorf("RecoveryStats.Rollbacks = %d, want ≥ 1", got.stats.Rollbacks)
 						}
-						if got.stats.Retries < 1 {
-							t.Errorf("RecoveryStats.Retries = %d, want ≥ 1", got.stats.Retries)
+						if got.stats.Relaunches < 1 {
+							t.Errorf("RecoveryStats.Relaunches = %d, want ≥ 1", got.stats.Relaunches)
 						}
 						if got.stats.Verifications < got.stats.Rollbacks {
 							t.Errorf("RecoveryStats.Verifications = %d below Rollbacks = %d: every restore must verify",
@@ -198,7 +199,7 @@ func TestChaosRecoveryPowerMethod(t *testing.T) {
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},
-		Recovery: &parallel.RecoveryOptions{},
+		Recovery: true,
 	})
 	if got.Lambda != want.Lambda {
 		t.Errorf("Lambda = %g, crash-free %g", got.Lambda, want.Lambda)
@@ -284,7 +285,7 @@ func TestChaosRecoveryMTTKRP(t *testing.T) {
 								Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 								Timeout:   2 * time.Second,
 							},
-							Recovery: &parallel.RecoveryOptions{},
+							Recovery: true,
 						})
 						for i := range want.y.Data {
 							if got.y.Data[i] != want.y.Data[i] {
@@ -313,7 +314,7 @@ func TestChaosRecoveryMTTKRP(t *testing.T) {
 
 // TestChaosRecoveryObservability: recovery must be visible in the obs
 // layer — rank-down and recovery span markers in the trace, an epoch
-// fence > 0 after an in-place recovery, and a "recovery" scope record in
+// fence > 0 after a relaunch, and a "recovery" scope record in
 // the metrics export.
 func TestChaosRecoveryObservability(t *testing.T) {
 	part, a, xs, b := recoverySetup(t, 2)
@@ -326,7 +327,7 @@ func TestChaosRecoveryObservability(t *testing.T) {
 			Timeout:  2 * time.Second,
 			Observer: rec.Observer(),
 		},
-		Recovery: &parallel.RecoveryOptions{},
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +351,7 @@ func TestChaosRecoveryObservability(t *testing.T) {
 		t.Errorf("trace counts %+v disagree with RecoveryStats %+v", rc, stats)
 	}
 	if rc.MaxEpoch < 1 {
-		t.Errorf("trace max epoch %d: in-place recovery must fence a new epoch", rc.MaxEpoch)
+		t.Errorf("trace max epoch %d: a relaunch must fence a new epoch", rc.MaxEpoch)
 	}
 
 	var buf bytes.Buffer
@@ -376,13 +377,13 @@ func TestChaosRecoveryObservability(t *testing.T) {
 	}
 }
 
-// TestRecoveryDegradedRelaunchThenCrash walks the hardest lifecycle edge:
-// a dispatch exhausts its retry budget (two crashes inside one Apply with
-// MaxRetries = 1) and degrades to a full machine relaunch — and then a
-// third rank crashes on the relaunched machine, which must absorb it with
-// an ordinary in-place recovery. The crash registry persists across the
-// relaunch, so each rank's scheduled crash fires exactly once for the
-// session lifetime, and the whole run stays bit-identical to crash-free.
+// TestRecoveryDegradedRelaunchThenCrash walks the crash → relaunch →
+// crash-again lifecycle: the first Apply loses a rank and relaunches the
+// machine, and later crashes land on relaunched incarnations, which must
+// absorb them the same way. Every incident is one relaunch into the next
+// epoch, and the crash registry persists across relaunches, so each
+// scheduled crash fires exactly once for the session lifetime. The whole
+// run stays bit-identical to crash-free.
 func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	part, a, _, b := recoverySetup(t, 2)
 	n := part.M * b
@@ -397,13 +398,15 @@ func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 	want := runSession(t, parallel.Options{Part: part, B: b, Wiring: parallel.WiringP2P}, a, xs)
 
 	plan := fault.Plan{Seed: 11, Crash: map[int]int{1: 4, 2: 30, 3: 65}}
+	var rec obs.Recorder
 	s, err := parallel.OpenSession(a, parallel.Options{
 		Part: part, B: b, Wiring: parallel.WiringP2P,
 		Machine: machine.RunConfig{
 			Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout:   2 * time.Second,
+			Observer:  rec.Observer(),
 		},
-		Recovery: &parallel.RecoveryOptions{MaxRetries: 1},
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -429,27 +432,124 @@ func TestRecoveryDegradedRelaunchThenCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameLogicalMeters(t, want.final, s.Report())
+	t.Logf("after the first Apply: %+v; at Close: %+v", afterFirst, stats)
 
-	if afterFirst.Relaunches != 1 {
-		t.Fatalf("first Apply ended with %d relaunches, want the retry budget exhausted exactly once (stats %+v)",
-			afterFirst.Relaunches, afterFirst)
+	if afterFirst.Relaunches < 1 || afterFirst.RankDowns < 1 {
+		t.Fatalf("first Apply absorbed no crash (stats %+v)", afterFirst)
 	}
-	if stats.Relaunches != 1 {
-		t.Errorf("session ended with %d relaunches, want 1", stats.Relaunches)
+	if stats.Relaunches <= afterFirst.Relaunches || stats.RankDowns <= afterFirst.RankDowns {
+		t.Errorf("no crash landed on a relaunched machine: %+v → %+v", afterFirst, stats)
 	}
-	if stats.RankDowns <= afterFirst.RankDowns {
-		t.Errorf("no rank died after the relaunch: %d → %d rank downs", afterFirst.RankDowns, stats.RankDowns)
+	if stats.RankDowns != len(plan.Crash) {
+		t.Errorf("RankDowns = %d, want each of the %d scheduled crashes exactly once", stats.RankDowns, len(plan.Crash))
 	}
-	if stats.Restarts <= afterFirst.Restarts {
-		t.Errorf("the post-relaunch crash was not recovered in place: %d → %d restarts",
-			afterFirst.Restarts, stats.Restarts)
+	if stats.Relaunches > stats.RankDowns {
+		t.Errorf("%d relaunches for %d rank deaths: an incident relaunched more than once", stats.Relaunches, stats.RankDowns)
 	}
-	if stats.Epoch < 1 {
-		t.Errorf("relaunched machine epoch %d: the in-place recovery after the relaunch must fence", stats.Epoch)
+	if stats.Epoch != int64(stats.Relaunches) {
+		t.Errorf("epoch %d after %d relaunches: each relaunch must advance the epoch by one", stats.Epoch, stats.Relaunches)
 	}
-	if stats.Verifications < stats.Rollbacks || stats.Mismatches != 0 {
-		t.Errorf("verification accounting off: %+v", stats)
+	if rc := rec.Trace().RecoveryCounts(); rc.Recoveries != stats.Relaunches || rc.MaxEpoch != stats.Epoch {
+		t.Errorf("trace recovery counts %+v disagree with stats %+v", rc, stats)
 	}
+	if stats.Rollbacks != stats.Relaunches || stats.Verifications != stats.Rollbacks || stats.Mismatches != 0 {
+		t.Errorf("rollback/verification accounting off: %+v", stats)
+	}
+}
+
+// TestRecoverySharedBackendRelaunch runs a recovering session over one
+// shared backend — a single machine.SimBackend in RunConfig.Backend, not
+// a per-incarnation factory — so every relaunched machine reads the very
+// mailboxes its crashed predecessor left packets in. The crashes land
+// mid-exchange over a lossy wire, so those mailboxes hold undelivered
+// data, acks and retransmissions of the aborted attempt. Each relaunch
+// must start in a strictly larger epoch, whose fence drops all of them:
+// Y and the logical meters stay bit-identical to the crash-free run.
+func TestRecoverySharedBackendRelaunch(t *testing.T) {
+	part, a, xs, b := recoverySetup(t, 2)
+	want := runSession(t, parallel.Options{Part: part, B: b, Wiring: parallel.WiringP2P}, a, xs)
+
+	plan := fault.Plan{Seed: 23, Drop: 0.05, Crash: map[int]int{1: 6, 4: 40}}
+	var rec obs.Recorder
+	got := runSession(t, parallel.Options{
+		Part: part, B: b, Wiring: parallel.WiringP2P,
+		Machine: machine.RunConfig{
+			Backend:   machine.NewSimBackend(),
+			Transport: fault.TransportRecoverable(plan, fault.ReliableOptions{MaxAttempts: 1 << 20}),
+			Timeout:   2 * time.Second,
+			Observer:  rec.Observer(),
+		},
+		Recovery: true,
+	}, a, xs)
+
+	for k := range want.ys {
+		for i := range want.ys[k] {
+			if got.ys[k][i] != want.ys[k][i] {
+				t.Fatalf("apply %d: Y[%d] = %g differs from crash-free %g", k, i, got.ys[k][i], want.ys[k][i])
+			}
+		}
+		if !reflect.DeepEqual(got.phases[k], want.phases[k]) {
+			t.Errorf("apply %d: per-phase meters differ from crash-free session", k)
+		}
+		assertSameLogicalMeters(t, want.reports[k], got.reports[k])
+	}
+	assertSameLogicalMeters(t, want.final, got.final)
+	if got.stats.Relaunches < 2 || got.stats.RankDowns != len(plan.Crash) {
+		t.Fatalf("stats %+v: want one relaunch per scheduled crash", got.stats)
+	}
+	// Each relaunch announces itself on the fresh machine, so the
+	// recovery markers' epochs are the incarnations' start epochs.
+	var epochs []int64
+	for _, e := range rec.Trace().Events {
+		if e.Kind == machine.EventRecoveryBegin {
+			epochs = append(epochs, e.Epoch)
+		}
+	}
+	if len(epochs) != got.stats.Relaunches {
+		t.Fatalf("%d recovery markers for %d relaunches", len(epochs), got.stats.Relaunches)
+	}
+	for i, e := range epochs {
+		if i > 0 && e <= epochs[i-1] || e < 1 {
+			t.Fatalf("relaunch epochs %v: every relaunch must start in a strictly larger epoch", epochs)
+		}
+	}
+	if err := rec.Trace().CheckCommittedAgainstReport(got.final); err != nil {
+		t.Errorf("committed trace conformance: %v", err)
+	}
+}
+
+// TestRecoveryRelaunchFailureIsAnError: when the fresh incarnation
+// cannot be launched (its backend factory fails), the operation returns
+// that error, and the session stays safe to use and to close — later
+// operations report the failure again instead of touching the retired
+// machine's op channels.
+func TestRecoveryRelaunchFailureIsAnError(t *testing.T) {
+	part, a, xs, b := recoverySetup(t, 2)
+	launches := 0
+	s, err := parallel.OpenSession(a, parallel.Options{
+		Part: part, B: b, Wiring: parallel.WiringP2P,
+		Machine: machine.RunConfig{
+			Transport: fault.TransportRecoverable(fault.Plan{Seed: 1, Crash: map[int]int{1: 4}},
+				fault.ReliableOptions{MaxAttempts: 1 << 20}),
+			Timeout: 2 * time.Second,
+			BackendFactory: func() (machine.Backend, error) {
+				if launches++; launches > 1 {
+					return nil, errors.New("no backend for a relaunch")
+				}
+				return machine.NewSimBackend(), nil
+			},
+		},
+		Recovery: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if _, err := s.Apply(xs[k]); err == nil || !strings.Contains(err.Error(), "no backend for a relaunch") {
+			t.Errorf("apply %d: got %v, want the relaunch's launch error", k, err)
+		}
+	}
+	s.Close() // the retired machine's crash; must not panic
 }
 
 // TestRecoveryStatsStableAfterClose: RecoveryStats must stay readable and
@@ -463,7 +563,7 @@ func TestRecoveryStatsStableAfterClose(t *testing.T) {
 				fault.ReliableOptions{MaxAttempts: 1 << 20}),
 			Timeout: 2 * time.Second,
 		},
-		Recovery: &parallel.RecoveryOptions{},
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ type Stream struct {
 
 // NewStream returns rank's decision stream under plan. A non-nil reg
 // makes the rank's crash fire at most once across every stream sharing
-// it (the simulator rebuilds a respawned rank's stream from scratch);
+// it (a relaunched machine rebuilds every rank's stream from scratch);
 // with a nil reg the crash fires once per stream.
 func NewStream(plan Plan, rank int, reg *CrashRegistry) *Stream {
 	return &Stream{

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,15 +21,11 @@ import (
 // over any backend.
 type Backend interface {
 	// NewWire returns rank's raw endpoint on a machine of the given size.
-	// Called once per local rank at machine start; the wire stays valid
-	// across rank restarts (SimBackend swaps the mailbox underneath it).
+	// Called once per local rank at machine start. A backend shared by
+	// successive incarnations (a relaunched machine) hands out endpoints
+	// over the same inbound queues: packets an earlier incarnation left
+	// there carry its epoch, and the machine fences them on Pull.
 	NewWire(rank, size int) (BackendWire, error)
-	// ResetRank hands a restarting rank a fresh inbound state
-	// (Handle.RestartRank). SimBackend swaps the rank's mailbox; a
-	// distributed backend returns an error instead — there a dead rank is
-	// a dead OS process, respawned by a process-level supervisor with a
-	// fresh backend of its own.
-	ResetRank(rank int) error
 	// Close releases the backend's resources (sockets, listeners,
 	// goroutines). The machine never calls it — the backend's creator
 	// owns its lifecycle, because one backend may outlive several runs.
@@ -54,8 +49,6 @@ type BackendWire interface {
 	// Depth reports the number of buffered undelivered packets (deadlock
 	// diagnostics).
 	Depth() int
-	// Drain discards every buffered packet (epoch rollover).
-	Drain()
 	// PacketCost prices a packet for the wire meters. The simulator
 	// charges len(Data) words; a real-network wire returns the framed
 	// size in 8-byte words (header, payload, and frame checksum
@@ -140,7 +133,7 @@ func (b *PacketQueue) Push(p Packet) {
 
 // Pull removes the oldest packet, blocking until one arrives. A close of
 // the abort channel (nil to wait forever) wakes the wait with ok == false
-// so a rank blocked on an empty queue can unwind during an epoch abort.
+// so a rank blocked on an empty queue can unwind during an abort.
 func (b *PacketQueue) Pull(abort <-chan struct{}) (Packet, bool) {
 	return b.pull(0, abort)
 }
@@ -195,20 +188,6 @@ func (b *PacketQueue) pull(d time.Duration, abort <-chan struct{}) (Packet, bool
 	}
 }
 
-// Drain discards every queued packet. Discarded payloads go to the
-// garbage collector, never back to the payload pool: a pre-crash sender's
-// transport may still hold a retransmission reference to the buffer, so
-// recycling here could alias a pooled buffer into a post-recovery Send.
-func (b *PacketQueue) Drain() {
-	b.mu.Lock()
-	for i := range b.q {
-		b.q[i] = Packet{}
-	}
-	b.q = b.q[:0]
-	b.head = 0
-	b.mu.Unlock()
-}
-
 // Depth returns the number of buffered packets.
 func (b *PacketQueue) Depth() int {
 	b.mu.Lock()
@@ -219,11 +198,11 @@ func (b *PacketQueue) Depth() int {
 // SimBackend is the default backend: per-rank in-memory mailboxes, exactly
 // the simulated network the repo's communication meters were validated on.
 // The zero value is unusable; use NewSimBackend. A SimBackend serves one
-// machine at a time (its mailboxes are sized at the first NewWire).
+// machine incarnation at a time (its mailboxes are sized at the first
+// NewWire); successive incarnations of one size may share it.
 type SimBackend struct {
 	mu    sync.Mutex
-	size  int
-	boxes []atomic.Pointer[PacketQueue]
+	boxes []*PacketQueue
 }
 
 // NewSimBackend returns an in-memory backend of unbounded mailboxes — no
@@ -238,45 +217,32 @@ func (b *SimBackend) NewWire(rank, size int) (BackendWire, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.boxes == nil {
-		b.size = size
-		b.boxes = make([]atomic.Pointer[PacketQueue], size)
+		b.boxes = make([]*PacketQueue, size)
 		for i := range b.boxes {
-			b.boxes[i].Store(NewPacketQueue())
+			b.boxes[i] = NewPacketQueue()
 		}
 	}
-	if size != b.size {
-		return nil, fmt.Errorf("machine: SimBackend sized for %d ranks, wire requested for machine of %d", b.size, size)
+	if size != len(b.boxes) {
+		return nil, fmt.Errorf("machine: SimBackend sized for %d ranks, wire requested for machine of %d", len(b.boxes), size)
 	}
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("machine: SimBackend wire for rank %d of %d", rank, size)
 	}
-	return &simWire{be: b, rank: rank}, nil
+	return &simWire{boxes: b.boxes, inbox: b.boxes[rank]}, nil
 }
 
 // Close is a no-op: mailboxes hold no OS resources.
 func (b *SimBackend) Close() error { return nil }
 
-// ResetRank swaps in a fresh mailbox for a restarting rank. The rank's
-// existing wire picks the new mailbox up on its next Pull, and in-flight
-// Delivers land in whichever mailbox the push resolves (stale packets are
-// epoch-fenced anyway).
-func (b *SimBackend) ResetRank(rank int) error {
-	b.boxes[rank].Store(NewPacketQueue())
-	return nil
-}
-
-func (b *SimBackend) box(rank int) *PacketQueue { return b.boxes[rank].Load() }
-
 // simWire is a rank's raw endpoint on the mailbox backend.
 type simWire struct {
-	be   *SimBackend
-	rank int
+	boxes []*PacketQueue
+	inbox *PacketQueue
 }
 
-func (w *simWire) Deliver(pkt Packet)                         { w.be.box(pkt.To).Push(pkt) }
-func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.be.box(w.rank).Pull(abort) }
-func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.be.box(w.rank).PullTimeout(d) }
-func (w *simWire) Depth() int                                 { return w.be.box(w.rank).Depth() }
-func (w *simWire) Drain()                                     { w.be.box(w.rank).Drain() }
+func (w *simWire) Deliver(pkt Packet)                         { w.boxes[pkt.To].Push(pkt) }
+func (w *simWire) Pull(abort <-chan struct{}) (Packet, bool)  { return w.inbox.Pull(abort) }
+func (w *simWire) PullTimeout(d time.Duration) (Packet, bool) { return w.inbox.PullTimeout(d) }
+func (w *simWire) Depth() int                                 { return w.inbox.Depth() }
 func (w *simWire) PacketCost(pkt Packet) int64                { return int64(len(pkt.Data)) }
 func (w *simWire) OnDrop(func(Packet, string))                {}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -71,22 +70,6 @@ func TestPacketQueueAbortWake(t *testing.T) {
 	}
 }
 
-// TestRestartRankRequiresResetter: a backend that cannot reset a rank
-// in-process surfaces its ResetRank error instead of silently reusing a
-// dead rank's queue.
-func TestRestartRankRequiresResetter(t *testing.T) {
-	h, err := StartWith(1, RunConfig{Backend: fixedBackend{NewSimBackend()}}, func(c *Comm) { panic("boom") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Wait(); err == nil {
-		t.Fatal("crashed rank reported no error")
-	}
-	if err := h.RestartRank(0); err == nil || !strings.Contains(err.Error(), "cannot reset") {
-		t.Errorf("want resetter error, got %v", err)
-	}
-}
-
 // TestDistributedRunRequiresBarrierWire: a distributed run (fewer local
 // ranks than P) over a backend whose wires cannot barrier is rejected at
 // start, not left to panic at the first Comm.Barrier.
@@ -100,12 +83,3 @@ func TestDistributedRunRequiresBarrierWire(t *testing.T) {
 		t.Errorf("want a BarrierWire error, got %v", err)
 	}
 }
-
-// fixedBackend is a SimBackend that cannot reset ranks in-process.
-type fixedBackend struct{ be *SimBackend }
-
-func (f fixedBackend) NewWire(rank, size int) (BackendWire, error) { return f.be.NewWire(rank, size) }
-func (f fixedBackend) ResetRank(rank int) error {
-	return fmt.Errorf("fixedBackend cannot reset rank %d in-process", rank)
-}
-func (f fixedBackend) Close() error { return f.be.Close() }

@@ -158,12 +158,11 @@ func (e UnreachableError) Error() string {
 // kind), so every transition changes the word. Peer and tag are stored
 // before the word that publishes them, and a reader retries until it
 // sees the same word on both sides of its peer/tag reads. Overwriting
-// the peer and tag of a send or receive (a rank parking after an abort
-// unwound it mid-exchange) first publishes a BlockNone transition, so a
-// reader can never pair BlockSend or BlockRecv with another operation's
-// peer and tag; the other kinds carry no peer or tag. The counter
-// doubles as the rank's progress signal for the stall watchdog. The
-// mutex guards only the cold fields below it.
+// the peer and tag of a send or receive first publishes a BlockNone
+// transition, so a reader can never pair BlockSend or BlockRecv with
+// another operation's peer and tag; the other kinds carry no peer or
+// tag. The counter doubles as the rank's progress signal for the stall
+// watchdog. The mutex guards only the cold fields below it.
 type rankDiag struct {
 	state     atomic.Uint64
 	peer, tag atomic.Int64
@@ -171,14 +170,6 @@ type rankDiag struct {
 	mu       sync.Mutex
 	pending  []PendingEntry
 	panicVal any
-	// abortKind/abortPeer record the operation the rank was inside the
-	// last time it parked for the host: BlockSend or BlockRecv when an
-	// abort unwound it mid-exchange (setRunning never ran), BlockNone when
-	// the previous operation completed cleanly. The recovery supervisor
-	// consumes them to decide which transport pairs carry torn protocol
-	// state and need a sequence reset.
-	abortKind BlockKind
-	abortPeer int
 }
 
 // set publishes a transition to kind k. Only the owning rank calls it
@@ -196,28 +187,8 @@ func (d *rankDiag) setBlocked(k BlockKind, peer, tag int) {
 	d.set(k)
 }
 
-// parkForHost captures the abort context of the operation the rank is
-// abandoning and transitions to BlockHost. The context is recorded before
-// the transition is published, so Quiesce observing BlockHost guarantees
-// the context has been recorded.
-func (d *rankDiag) parkForHost() {
-	kind, peer, _ := d.block()
-	d.mu.Lock()
-	if kind == BlockSend || kind == BlockRecv {
-		d.abortKind, d.abortPeer = kind, peer
-	}
-	d.mu.Unlock()
-	d.setBlocked(BlockHost, -1, -1)
-}
-
-// takeAbortContext returns and clears the recorded mid-exchange context.
-func (d *rankDiag) takeAbortContext() (BlockKind, int) {
-	d.mu.Lock()
-	k, p := d.abortKind, d.abortPeer
-	d.abortKind, d.abortPeer = BlockNone, 0
-	d.mu.Unlock()
-	return k, p
-}
+// parkForHost transitions to BlockHost (Comm.AwaitHost).
+func (d *rankDiag) parkForHost() { d.setBlocked(BlockHost, -1, -1) }
 
 func (d *rankDiag) setRunning() { d.set(BlockNone) }
 
@@ -228,18 +199,6 @@ func (d *rankDiag) setPending(entries []PendingEntry) {
 }
 
 func (d *rankDiag) setDone() { d.set(BlockDone) }
-
-// reset returns the slot to its launch state; the recovery supervisor
-// calls it when respawning a crashed rank so the eventual machine report
-// does not resurrect an already-recovered panic.
-func (d *rankDiag) reset() {
-	d.mu.Lock()
-	d.pending = nil
-	d.panicVal = nil
-	d.abortKind, d.abortPeer = BlockNone, 0
-	d.mu.Unlock()
-	d.setBlocked(BlockNone, 0, 0)
-}
 
 func (d *rankDiag) setPanic(v any) {
 	d.mu.Lock()

@@ -38,9 +38,9 @@ const (
 	// goroutine.
 	EventRankDown
 	// EventRecoveryBegin and EventRecoveryEnd bracket one recovery span:
-	// the supervisor's abort-rollback-restart sequence between the crash
-	// and the replay dispatch. Step carries the retry attempt index
-	// (1-based) on EventRecoveryBegin. Replay-transparent: the α-β-γ
+	// the supervisor's abort-relaunch-rollback sequence between the crash
+	// and the replay dispatch. Step carries the relaunch index (1-based)
+	// on EventRecoveryBegin. Replay-transparent: the α-β-γ
 	// engine ignores kinds it does not model.
 	EventRecoveryBegin
 	// EventRecoveryEnd marks the completion of a rollback on one rank.
@@ -50,7 +50,7 @@ const (
 	// attempt and is superseded by the replay that follows the marker.
 	EventRecoveryEnd
 	// EventRestoreVerify records a fingerprint verification pass over the
-	// restored arenas after a rollback or a degraded relaunch; Words
+	// restored arenas after a rollback; Words
 	// carries the number of pages checked.
 	EventRestoreVerify
 	// EventRestoreMismatch records a page whose post-restore fingerprint
@@ -151,7 +151,7 @@ type Event struct {
 // fault injectors and the reliable protocol's Idle/Linger loops, all run
 // on that goroutine); seq is atomic because a recovery supervisor reads it
 // from the host to segment committed from rolled-back events, and restores
-// it across a degraded relaunch so per-rank ordering stays monotonic.
+// it across a relaunch so per-rank ordering stays monotonic.
 type rankObsState struct {
 	phase   string
 	op      string
@@ -171,7 +171,7 @@ func (m *Machine) emit(rank int, e Event) {
 		e.Phase = st.phase
 	}
 	e.Op = st.op
-	e.Epoch = m.epoch.Load()
+	e.Epoch = m.epoch
 	e.Seq = st.seq.Add(1) - 1
 	e.Wall = int64(time.Since(m.start))
 	m.observer(e)

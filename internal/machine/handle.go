@@ -9,15 +9,17 @@ import (
 
 // Handle is a running simulated machine with supervisor access: beyond
 // waiting for completion (the RunWith path), a supervisor can abort the
-// current epoch, wait for the survivors to park, restart crashed ranks on
-// fresh mailboxes, and roll the machine into a new epoch that fences all
-// stale wire traffic. parallel.Session's crash-recovery loop is the
-// intended caller; everything here assumes a resident body that parks in
-// AwaitHost between host-fed operations.
+// machine — every rank blocked in a machine operation unwinds — and wait
+// for every rank goroutine to exit before it launches the next
+// incarnation. Crash recovery never repairs a machine in place: both
+// parallel.Session's recovery loop and the cluster's rank processes
+// retire the incarnation and start a fresh one in the next epoch
+// (RunConfig.StartEpoch), carrying meters and trace sequence numbers
+// across with RankMeters/RestoreMeters and RankEventSeq/RestoreEventSeq.
 //
-// Supervisor methods (Abort, Quiesce, BeginEpoch, RestartRank,
-// RestoreMeters, Emit) are called from one host goroutine; RankMeters is
-// safe whenever the rank in question is parked, crashed, or done.
+// Supervisor methods (Abort, RestoreMeters, RestoreEventSeq, Emit) are
+// called from one host goroutine; RankMeters is safe whenever the rank in
+// question is parked, crashed, or done.
 type Handle struct {
 	m       *Machine
 	cfg     RunConfig
@@ -25,17 +27,16 @@ type Handle struct {
 	body    func(c *Comm)
 
 	// Two completion stages: bodies counts returned (or panicked) rank
-	// bodies; wg counts fully exited goroutines. Between the two, a rank
-	// whose transport implements Idler lingers — answering peers'
-	// retransmissions — until every body has returned, so a lost final
-	// ack cannot strand a still-running sender. Crashed ranks do not
-	// linger: their silence is the fault being modelled.
+	// bodies; alive counts goroutines not yet exited, and done closes
+	// when it reaches zero. Between the two, a rank whose transport
+	// implements Idler lingers — answering peers' retransmissions — until
+	// every body has returned, so a lost final ack cannot strand a
+	// still-running sender. Crashed ranks do not linger: their silence is
+	// the fault being modelled.
 	bodies     sync.WaitGroup
-	wg         sync.WaitGroup
 	stopLinger chan struct{}
 	stopOnce   sync.Once
 	done       chan struct{}
-	doneOnce   sync.Once
 	alive      atomic.Int64 // outstanding rank goroutines
 	ownedBE    Backend      // built by cfg.BackendFactory; closed with done
 }
@@ -90,13 +91,12 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		observer:    cfg.Observer,
 		wireEvents:  cfg.WireEvents,
 		obsState:    make([]rankObsState, p),
+		epoch:       cfg.StartEpoch,
+		abortCh:     make(chan struct{}),
 		recovering:  cfg.OnRankDown != nil,
 		start:       time.Now(),
 	}
 	m.barrier = newBarrier(p, m.localRanks)
-	abortCh := make(chan struct{})
-	m.abortCh.Store(&abortCh)
-	m.epoch.Store(cfg.StartEpoch)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)
 		if err == nil {
@@ -126,8 +126,9 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		ownedBE:    owned,
 	}
 	h.alive.Add(int64(len(locals))) // before any goroutine can exit and close done
+	h.bodies.Add(len(locals))
 	for _, rank := range locals {
-		h.spawnRank(rank)
+		go h.runRank(rank)
 	}
 	go func() {
 		h.bodies.Wait()
@@ -138,33 +139,20 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 
 func (h *Handle) endLinger() { h.stopOnce.Do(func() { close(h.stopLinger) }) }
 
-// spawnRank launches one rank's goroutine, maintaining the two
-// completion stages and the done channel. The done channel closes when
-// the outstanding goroutine count reaches zero; a RestartRank racing
-// that close is impossible because restarts are only legal while the
-// supervisor holds survivors parked (their goroutines are alive).
-func (h *Handle) spawnRank(rank int) {
-	h.bodies.Add(1)
-	h.wg.Add(1)
-	go h.runRank(rank)
-}
-
 func (h *Handle) runRank(rank int) {
 	defer func() {
-		h.wg.Done()
 		if h.alive.Add(-1) == 0 {
-			h.doneOnce.Do(func() {
-				close(h.done)
-				if h.ownedBE != nil {
-					h.ownedBE.Close()
-				}
-			})
+			close(h.done)
+			if h.ownedBE != nil {
+				h.ownedBE.Close()
+			}
 		}
 	}()
 	m := h.m
 	d := &m.ranks[rank].diag
-	c := &Comm{m: m, rank: rank, diag: d, l: m.links[rank], factory: h.factory}
-	c.bind(h.factory(c.l))
+	c := &Comm{m: m, rank: rank, diag: d, l: m.links[rank]}
+	c.t = h.factory(c.l)
+	c.idler, _ = c.t.(Idler)
 	var panicVal any
 	panicked := func() (panicked bool) {
 		defer h.bodies.Done()
@@ -222,56 +210,34 @@ func (h *Handle) Wait() (*Report, error) {
 	return h.m.reportNow(), nil
 }
 
-// Epoch returns the machine's current recovery epoch.
-func (h *Handle) Epoch() int64 { return h.m.epoch.Load() }
+// Epoch returns the machine's recovery epoch (RunConfig.StartEpoch).
+func (h *Handle) Epoch() int64 { return h.m.epoch }
 
-// Abort starts unwinding the current epoch: every rank blocked inside a
-// machine operation (Send ack-waits, Recv, Barrier) panics with the
-// abort sentinel the moment it next touches the machine, and a resident
-// body recovers the sentinel and re-parks. Parked ranks are unaffected —
-// their AwaitHost wait is host input, not epoch work. Idempotent.
+// Abort starts retiring the machine: every rank blocked inside a machine
+// operation (Send ack-waits, Recv, Barrier) panics with the abort
+// sentinel the moment it next touches the machine, and a resident body
+// recovers the sentinel and returns. Parked ranks are unaffected — their
+// AwaitHost wait is host input, not machine work — and leave once the
+// host stops feeding them. An aborted machine never runs another
+// operation. Idempotent.
 func (h *Handle) Abort() {
 	m := h.m
-	m.abortMu.Lock()
 	if !m.aborting.Swap(true) {
-		close(*m.abortCh.Load())
+		close(m.abortCh)
 	}
-	m.abortMu.Unlock()
 	m.barrier.abort()
 }
 
-// Quiesce polls until every rank is parked (BlockHost), crashed, or done
-// — the precondition for BeginEpoch/RestartRank — failing after timeout.
-// Call it after Abort; survivors unwind to their park within a few
-// scheduler quanta unless one is stuck in a long local compute.
-func (h *Handle) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		if h.quiescent() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("machine: ranks still unwinding after %v abort window", timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
+// Exited returns a channel closed once every local rank goroutine has
+// exited, lingering ones included. Unlike Wait, whose watchdog can report
+// a stalled machine while its ranks still run, it is the point after
+// which nothing of this incarnation touches the backend or the body's
+// state — where a supervisor may relaunch over a shared backend.
+func (h *Handle) Exited() <-chan struct{} { return h.done }
 
-func (h *Handle) quiescent() bool {
-	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.ranks[r].diag.snapshot()
-		switch kind {
-		case BlockHost, BlockCrashed, BlockDone:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// CrashedRanks lists the local ranks whose bodies have panicked and not
-// been restarted. A remote rank's death is an OS-process event its own
-// supervisor observes; this machine only ever sees the silence.
+// CrashedRanks lists the local ranks whose bodies have panicked. A remote
+// rank's death is an OS-process event its own supervisor observes; this
+// machine only ever sees the silence.
 func (h *Handle) CrashedRanks() []int {
 	var out []int
 	for _, r := range h.m.localRanks {
@@ -283,81 +249,19 @@ func (h *Handle) CrashedRanks() []int {
 	return out
 }
 
-// BeginEpoch rolls the machine into a new epoch after an Abort has
-// quiesced it: the abort flag clears, every mailbox is drained (stale
-// packets from the aborted epoch would otherwise confuse fresh protocol
-// state — and any that survive the drain in flight are fenced by their
-// epoch stamp), the barrier re-arms, and every rank's trace phase scope
-// resets (an aborted operation can die mid-phase, and the replay begins
-// the phase again). Returns the new epoch. Drained payloads are never
-// recycled into the payload pool: a pre-crash transport may still hold
-// retransmission references to them.
-func (h *Handle) BeginEpoch() int64 {
-	m := h.m
-	// The epoch advances before the abort flag clears: a rank checking
-	// the flag and then the epoch (a resident body vetting an operation
-	// it took mid-recovery) sees at least one of them move.
-	m.abortMu.Lock()
-	epoch := m.epoch.Add(1)
-	abortCh := make(chan struct{})
-	m.abortCh.Store(&abortCh)
-	m.aborting.Store(false)
-	m.abortMu.Unlock()
-	m.barrier.reset()
-	for _, r := range m.localRanks {
-		m.links[r].raw.Drain()
-		st := &m.obsState[r]
-		st.phase = ""
-		st.op = ""
-		st.opDepth = 0
-	}
-	return epoch
-}
-
-// RestartRank respawns a crashed rank's body on a fresh mailbox with
-// fresh transport state, clearing its recorded panic so the eventual
-// Wait does not resurrect an already-recovered crash. Call between
-// BeginEpoch and the replay dispatch; the respawned body starts in the
-// new epoch, parks, and sees no need to Rebind. The backend must be able
-// to reset the rank in-process (SimBackend and the socket loopback can);
-// a distributed backend's ranks are OS processes, restarted by the
-// cluster supervisor, and its ResetRank error is returned here.
-func (h *Handle) RestartRank(rank int) error {
-	if rank < 0 || rank >= h.m.p {
-		return fmt.Errorf("machine: restart of rank %d of %d", rank, h.m.p)
-	}
-	if !h.m.isLocal[rank] {
-		return fmt.Errorf("machine: restart of remote rank %d", rank)
-	}
-	kind, _, _, _ := h.m.ranks[rank].diag.snapshot()
-	if kind != BlockCrashed {
-		return fmt.Errorf("machine: restart of rank %d in state %v (want crashed)", rank, kind)
-	}
-	if err := h.m.be.ResetRank(rank); err != nil {
-		return err
-	}
-	h.m.ranks[rank].diag.reset()
-	// A crashed rank's goroutine has fully exited, so alive is strictly
-	// below P here, and the parked survivors keep it above zero — the
-	// increment cannot race the done close.
-	h.alive.Add(1)
-	h.spawnRank(rank)
-	return nil
-}
-
 // RankMeters reads one rank's counter snapshot from the host. Valid
 // whenever the rank cannot be mid-operation: parked, crashed, done — or
 // the whole machine dead (unlike Comm.Meters, no live rank goroutine is
-// needed, which is what the degraded-relaunch path relies on to carry
-// counters across machines).
+// needed, which is what a relaunch relies on to carry counters across
+// incarnations).
 func (h *Handle) RankMeters(rank int) Meters { return h.m.meters(rank) }
 
 // RestoreMeters overwrites one rank's logical counters with mt — the
 // rollback that makes logical meters count committed work exactly once.
-// With wire set, the wire counters are overwritten too (the degraded
-// relaunch carries cumulative wire totals onto the fresh machine);
-// otherwise they keep accumulating, which is where recovery overhead is
-// supposed to show.
+// With wire set, the wire counters are overwritten too (a relaunch
+// carries cumulative wire totals onto the fresh machine); otherwise they
+// keep accumulating, which is where recovery overhead is supposed to
+// show.
 func (h *Handle) RestoreMeters(rank int, mt Meters, wire bool) {
 	rs := &h.m.ranks[rank]
 	rs.sent.set(mt.SentWords, mt.SentMsgs)
@@ -384,28 +288,10 @@ func (h *Handle) RankEventSeq(rank int) int64 {
 	return h.m.obsState[rank].seq.Load()
 }
 
-// RestoreEventSeq overwrites a rank's event sequence counter. The
-// degraded-relaunch path uses it to carry per-rank trace ordering onto a
-// fresh machine, whose counters would otherwise restart at zero and
-// scramble the canonical (rank, seq) event order.
+// RestoreEventSeq overwrites a rank's event sequence counter. A relaunch
+// uses it to carry per-rank trace ordering onto a fresh machine, whose
+// counters would otherwise restart at zero and scramble the canonical
+// (rank, seq) event order.
 func (h *Handle) RestoreEventSeq(rank int, seq int64) {
 	h.m.obsState[rank].seq.Store(seq)
-}
-
-// TakeAbortContext returns and clears the operation the rank was unwound
-// out of by the last abort: BlockSend or BlockRecv plus the peer when the
-// rank re-parked mid-exchange, BlockNone when its previous operation
-// completed cleanly. Valid after Quiesce (parking records the context
-// before the rank becomes host-blocked).
-func (h *Handle) TakeAbortContext(rank int) (BlockKind, int) {
-	return h.m.ranks[rank].diag.takeAbortContext()
-}
-
-// RankPending snapshots the messages a rank's transport has buffered —
-// pulled off the wire (or parked out of order) but never consumed by a
-// logical Recv. After an abort these are conversations torn mid-flight;
-// the recovery supervisor reads them to find disturbed transport pairs.
-func (h *Handle) RankPending(rank int) []PendingEntry {
-	_, _, _, pending := h.m.ranks[rank].diag.snapshot()
-	return pending
 }

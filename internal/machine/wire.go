@@ -41,10 +41,11 @@ type Packet struct {
 	// detect corruption; the direct transport ignores it.
 	Check uint64
 	// Epoch is the machine epoch the packet was delivered in, stamped by
-	// the wire on Deliver. After a crash recovery advances the epoch
-	// (Handle.BeginEpoch), packets stamped with an earlier epoch — stale
-	// retransmissions from before the rollback — are fenced at the
-	// receiving end and never reach a transport.
+	// the wire on Deliver. Every recovery relaunches the machine in a
+	// later epoch (RunConfig.StartEpoch), so packets an earlier
+	// incarnation left in a shared backend — stale retransmissions from
+	// before the rollback — are fenced at the receiving end and never
+	// reach a transport.
 	Epoch int64
 	// Recycle marks Data as eligible for the machine's payload pool once
 	// the final consumer has copied it out (see Comm.RecvInto). Only a
@@ -77,20 +78,13 @@ type Wire interface {
 	// Pending publishes a snapshot of the transport's buffered-but-
 	// undelivered messages for the deadlock monitor's diagnostics.
 	Pending(entries []PendingEntry)
-	// Aborting reports whether the machine is unwinding the current epoch
-	// (a crash-recovery abort). A transport looping on PullTimeout —
-	// waiting for an acknowledgement, say — must check it each iteration
-	// and call Aborted() to unwind, because PullTimeout itself never
-	// panics (it also runs inside park/linger loops that must survive the
-	// abort).
+	// Aborting reports whether the machine is being aborted (a
+	// crash-recovery supervisor retiring it). A transport looping on
+	// PullTimeout — waiting for an acknowledgement, say — must check it
+	// each iteration and call Aborted() to unwind, because PullTimeout
+	// itself never panics (it also runs inside park/linger loops that
+	// must survive the abort).
 	Aborting() bool
-	// Epoch returns the machine's current recovery epoch. A transport
-	// incarnation records it at construction and must ignore packets
-	// stamped with any other epoch: a parked pre-recovery incarnation
-	// otherwise services a replay's fresh traffic with stale protocol
-	// state (acknowledging a replayed sequence number as a duplicate and
-	// discarding it — a silently lost message).
-	Epoch() int64
 }
 
 // Transport mediates a rank's logical Send/Recv over the raw wire. The
@@ -109,28 +103,6 @@ type Transport interface {
 // TransportFactory builds one rank's transport around its raw wire
 // endpoint. It is called once per rank, from that rank's goroutine.
 type TransportFactory func(w Wire) Transport
-
-// EpochAdopter is an optional Transport extension for protocols that can
-// carry their sequence state across a recovery epoch instead of being
-// rebuilt from scratch. AdoptEpoch moves the transport into the given
-// epoch and resets per-peer protocol state (sequence counters, parked
-// out-of-order packets, undelivered buffered messages) for exactly the
-// listed peers — the pairs the supervisor determined were disturbed by
-// the aborted epoch. Pairs not listed keep their counters: a completed,
-// acknowledged exchange advanced both ends consistently, so rebuilding
-// them would discard valid state for nothing.
-//
-// Resets must be pair-symmetric: the supervisor computes one global set
-// of disturbed pairs and hands each rank its side of it. A transport that
-// resets a pair unilaterally while the peer keeps counting would either
-// dedup-drop real messages or park them forever.
-//
-// It stays optional, like Idler, because only the reliable transport has
-// protocol state to carry; the direct transport is simply rebuilt.
-type EpochAdopter interface {
-	Transport
-	AdoptEpoch(epoch int64, resetPeers []int)
-}
 
 // Idler is an optional Transport extension for protocols that must keep
 // servicing the wire while their rank is blocked outside Send/Recv. A
@@ -187,7 +159,7 @@ func (l *link) Deliver(pkt Packet) {
 	if pkt.To < 0 || pkt.To >= l.m.p {
 		panic(fmt.Sprintf("machine: deliver to rank %d of %d", pkt.To, l.m.p))
 	}
-	pkt.Epoch = l.m.epoch.Load()
+	pkt.Epoch = l.m.epoch
 	l.m.ranks[l.rank].wireSent.add(l.raw.PacketCost(pkt))
 	if l.m.wireEvents {
 		l.m.emit(l.rank, Event{Kind: EventSend, From: l.rank, To: pkt.To, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
@@ -200,12 +172,12 @@ func (l *link) Pull() Packet {
 		if l.m.aborting.Load() {
 			panic(abortPanic{})
 		}
-		pkt, ok := l.raw.Pull(l.m.abortChan())
+		pkt, ok := l.raw.Pull(l.m.abortCh)
 		if !ok {
 			continue // the abort channel woke us; the check above unwinds
 		}
-		if pkt.Epoch != l.m.epoch.Load() {
-			continue // stale retransmission from a pre-recovery epoch
+		if pkt.Epoch != l.m.epoch {
+			continue // stale retransmission from an earlier incarnation
 		}
 		l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
 		if l.m.wireEvents {
@@ -217,10 +189,10 @@ func (l *link) Pull() Packet {
 
 func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 	pkt, ok := l.raw.PullTimeout(d)
-	if ok && pkt.Epoch != l.m.epoch.Load() {
+	if ok && pkt.Epoch != l.m.epoch {
 		// A stale-epoch packet reads as silence, never as a panic: this
 		// path also serves the Idle/Linger/park loops, which must survive
-		// an epoch abort intact.
+		// an abort intact.
 		return Packet{}, false
 	}
 	if ok {
@@ -233,8 +205,6 @@ func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 }
 
 func (l *link) Aborting() bool { return l.m.aborting.Load() }
-
-func (l *link) Epoch() int64 { return l.m.epoch.Load() }
 
 func (l *link) Pending(entries []PendingEntry) {
 	l.m.ranks[l.rank].diag.setPending(entries)

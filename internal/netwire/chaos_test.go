@@ -106,9 +106,10 @@ func TestSocketChaosConformance(t *testing.T) {
 // TestSocketChaosCrashRecoveryComposition composes the socket fault layer
 // with in-process crash recovery: a plan that both perturbs frames and
 // crashes a rank mid-run, over a TCP loopback, with the recovery
-// supervisor armed. The respawned rank's node (and its chaos clock)
-// survives the restart, the survivors roll back, and the committed result
-// still matches the fault-free sim bit for bit.
+// supervisor armed. The session relaunches its machine over the same
+// loopback backend, so every rank's node (and its chaos clock) survives
+// the relaunch, the ranks roll back, and the committed result still
+// matches the fault-free sim bit for bit.
 func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 	part := sphericalPart(t, 2)
 	b := 2
@@ -132,7 +133,7 @@ func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 			Backend:   be,
 			Transport: chaosTransport(),
 		},
-		Recovery: &parallel.RecoveryOptions{},
+		Recovery: true,
 	})
 	if err != nil {
 		t.Fatal(err)

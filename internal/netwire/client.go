@@ -271,13 +271,6 @@ func (cl *Client) NewWire(rank, size int) (machine.BackendWire, error) {
 	return cl.wire, nil
 }
 
-// ResetRank always fails: a distributed rank is an OS process, so a dead
-// one is respawned by the process-level supervisor with a fresh client of
-// its own, never reset in-process.
-func (cl *Client) ResetRank(rank int) error {
-	return fmt.Errorf("netwire: client cannot reset rank %d in-process; respawn the rank's process instead", rank)
-}
-
 // Close shuts the data node, the control connection, and the unix socket
 // directory. Safe to call more than once.
 func (cl *Client) Close() error {

@@ -17,10 +17,9 @@ import (
 // are exercised exactly as in a distributed run, while the machine itself
 // (and everything above it: transports, sessions, recovery) runs
 // unchanged. This is the conformance configuration: logical meters and
-// results must match the SimBackend bit for bit.
-//
-// Loopback resets ranks in-process, so the crash recovery suite
-// (Handle.RestartRank) runs over sockets too.
+// results must match the SimBackend bit for bit. Successive machine
+// incarnations may share one Loopback (the same wires stay valid), so
+// the crash recovery suite runs over sockets too.
 type Loopback struct {
 	network string
 	plan    fault.Plan
@@ -127,18 +126,6 @@ func (b *Loopback) setupLocked(size int) error {
 	b.nodes = nodes
 	b.wires = wires
 	b.addrs = addrs
-	return nil
-}
-
-// ResetRank hands a restarting rank a fresh inbound queue. In-flight
-// frames already in kernel buffers still decode into the new queue, where
-// the machine's epoch fence discards them — the same semantics the
-// SimBackend's mailbox swap has.
-func (b *Loopback) ResetRank(rank int) error {
-	b.mu.Lock()
-	nd := b.nodes[rank]
-	b.mu.Unlock()
-	nd.resetInbox()
 	return nil
 }
 

@@ -50,7 +50,7 @@ const (
 )
 
 // RestoreMismatchError reports a checkpoint page whose fingerprint did
-// not survive a rollback or a degraded relaunch: the restored arena
+// not survive a rollback: the restored arena
 // differs from the state the checkpoint captured. The supervisor returns
 // it instead of replaying on corrupt state; the failing location is also
 // emitted as a machine.EventRestoreMismatch trace event and counted in
@@ -237,12 +237,11 @@ func (s *Session) checkpoint(pr *phaseRecorder, dk dirtyKind) *ckSlot {
 // meters keep running — that is where recovery overhead belongs), the
 // chunk iterate from the shadow mirror, the power-method scalars, and the
 // phase recorder rows. Collective groups are dropped so they rebind to
-// the current Comm on the next use (a respawned rank and a relaunched
-// machine both carry fresh Comms).
+// the current Comm on the next use (a relaunched machine carries fresh
+// Comms).
 //
 // Every restored arena is then re-verified page by page against the
-// checkpoint-time fingerprints — on the in-place rollback path and on the
-// degraded-relaunch path alike. A mismatch is surfaced as a
+// checkpoint-time fingerprints. A mismatch is surfaced as a
 // RestoreMismatchError (plus a trace event and a stats counter), never
 // absorbed into a replay.
 func (s *Session) restore(ck *ckSlot, pr *phaseRecorder) error {

@@ -18,7 +18,7 @@ func openRecovering(t *testing.T, q, b int, seed int64) (*Session, []float64, *r
 	n := part.M * b
 	rng := rand.New(rand.NewSource(seed))
 	a := tensor.Random(n, rng)
-	s, err := OpenSession(a, Options{Part: part, B: b, Wiring: WiringP2P, Recovery: &RecoveryOptions{}})
+	s, err := OpenSession(a, Options{Part: part, B: b, Wiring: WiringP2P, Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

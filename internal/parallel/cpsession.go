@@ -32,10 +32,10 @@ type CPOptions struct {
 	// MaxCols presizes arenas and the projection buffers for batched
 	// applications (ApplyBatch). Defaults to 1; grows on demand.
 	MaxCols int
-	// Recovery, when non-nil, arms the crash-recovery supervisor exactly
-	// as on a dense session; checkpoints cover the owned iterate chunks
-	// and the convergence scalars.
-	Recovery *RecoveryOptions
+	// Recovery arms the crash-recovery supervisor exactly as on a dense
+	// session; checkpoints cover the owned iterate chunks and the
+	// convergence scalars.
+	Recovery bool
 }
 
 // cpOp is the CP session's step: project x onto V locally, all-reduce

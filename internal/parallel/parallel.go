@@ -106,15 +106,13 @@ type Options struct {
 	// applications of up to this many columns (ApplyBatch / MTTKRP).
 	// Defaults to 1; the session grows on demand when exceeded.
 	MaxCols int
-	// Recovery, when non-nil, arms the session's crash-recovery
-	// supervisor: injected rank crashes (and genuine panics) are caught,
-	// dead ranks are respawned onto fresh mailboxes in a new wire epoch,
-	// every rank rolls back to the last dispatch-boundary checkpoint, and
-	// the operation replays under bounded retries with exponential
-	// backoff, degrading to a full machine relaunch as the last resort.
-	// The zero RecoveryOptions value selects all defaults. Nil (the
-	// default) keeps the fail-fast semantics: any crash kills the run.
-	Recovery *RecoveryOptions
+	// Recovery arms the session's crash-recovery supervisor: injected
+	// rank crashes (and genuine panics) are caught, the machine is
+	// relaunched in the next wire epoch, every rank rolls back to the
+	// last dispatch-boundary checkpoint, and the operation replays — at
+	// most four relaunches per operation. False (the default) keeps the
+	// fail-fast semantics: any crash kills the run.
+	Recovery bool
 }
 
 // executor returns the rank-local compute executor for the options.

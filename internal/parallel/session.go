@@ -45,23 +45,16 @@ type Session struct {
 	stageX  [][]float64 // host staging, maxCols × padded
 	stageY  [][]float64
 
-	cur      *launch          // current machine incarnation
-	rec      *RecoveryOptions // nil: fail fast on any crash
-	crashCh  chan rankDown
+	cur      *launch    // current machine incarnation
+	crashCh  chan error // rank deaths; nil on fail-fast sessions
 	stats    RecoveryStats
 	inflight atomic.Bool
 	report   *machine.Report
 	closed   bool
 	closeErr error
 
-	// Recovery-only state (nil / unused on fail-fast sessions): the
-	// incremental checkpoint store, the static exchange graph feeding the
-	// partial-rebind reset computation, and the refence counters (atomics
-	// because rank goroutines increment them).
-	ck          *ckStore
-	staticPeers [][]int
-	refences    atomic.Int64
-	rebinds     atomic.Int64
+	// ck is the incremental checkpoint store (nil on fail-fast sessions).
+	ck *ckStore
 }
 
 // sessionOp is one host-dispatched operation: every rank runs the closure,
@@ -70,21 +63,6 @@ type sessionOp struct {
 	run     func(me int, c *machine.Comm)
 	pending atomic.Int64
 	done    chan struct{}
-	epoch   int64 // machine epoch the op was dispatched in (see stale)
-}
-
-// stale reports whether a rank that has just taken op must drop it
-// instead of running it: an abort began (or a recovery already ran)
-// after the host dispatched it. A rank that took its op off the channel
-// but had not yet left AwaitHost still reads as parked, so the
-// recovery supervisor can pass Quiesce, drain the channels and roll back
-// without seeing it; it must then not touch its arenas or run the
-// abandoned op in the new epoch. Called after AwaitHost returns: the
-// rank's leaving the park is ordered after the supervisor's abort, so
-// the rank sees either the abort flag or, once BeginEpoch has cleared
-// it, the advanced epoch.
-func (op *sessionOp) stale(c *machine.Comm) bool {
-	return c.Aborting() || c.Epoch() != op.epoch
 }
 
 // sessionRank is one rank's resident state: dense arenas replacing the
@@ -180,21 +158,17 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 // launch the resident ranks.
 func (s *Session) start() (*Session, error) {
 	s.grow(max(s.opts.MaxCols, 1))
-	if s.opts.Recovery != nil {
-		rec := s.opts.Recovery.withDefaults()
-		s.rec = &rec
-		s.crashCh = make(chan rankDown, s.part.P)
+	if s.opts.Recovery {
+		s.crashCh = make(chan error, s.part.P)
 		if s.opts.Machine.Timeout == 0 {
-			// A crashed rank can strand a peer in a parked transport wait
-			// the abort fence cannot reach; the watchdog is the recovery
-			// supervisor's backstop, so a recovering session always runs
-			// with one.
+			// A stall no rank death explains would hang the dispatch; the
+			// watchdog turns it into a machine death the supervisor
+			// relaunches, so a recovering session always runs with one.
 			s.opts.Machine.Timeout = 5 * time.Second
 		}
 		s.ck = newCkStore(s.rk)
-		s.staticPeers = s.buildStaticPeers()
 	}
-	if err := s.launchMachine(); err != nil {
+	if err := s.launchMachine(s.opts.Machine.StartEpoch); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -11,6 +11,17 @@ import (
 // ErrPoolClosed is returned by Apply on a pool that has been Closed.
 var ErrPoolClosed = errors.New("serve: pool closed")
 
+// DimError is Apply's rejection of a request vector whose length is not
+// the serving dimension: the caller's error (an HTTP front end answers
+// 400), unlike a failed batch, which is the engine's.
+type DimError struct {
+	Len, Dim int
+}
+
+func (e *DimError) Error() string {
+	return fmt.Sprintf("serve: vector length %d, serving dimension %d", e.Len, e.Dim)
+}
+
 // BusyError is the serving tier's structured admission rejection: the
 // queue was full when the request arrived. It replaces the engine's bare
 // ErrSessionBusy at this layer with actionable context — how deep the

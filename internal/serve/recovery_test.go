@@ -48,7 +48,7 @@ func TestBatchRecoveryComposition(t *testing.T) {
 			fault.ReliableOptions{MaxAttempts: 1 << 20}),
 		Timeout: 2 * time.Second,
 	}
-	crashed.Recovery = &parallel.RecoveryOptions{}
+	crashed.Recovery = true
 	pool, err := Open(a, Options{
 		Session:  crashed,
 		Sessions: 1,
@@ -89,7 +89,47 @@ func TestBatchRecoveryComposition(t *testing.T) {
 	if st.RankDowns != 1 {
 		t.Errorf("RankDowns = %d, want exactly 1: one crash, one incident, however many columns rode the batch", st.RankDowns)
 	}
-	if st.Retries == 0 && st.Rollbacks == 0 && st.Restarts == 0 {
-		t.Error("recovery supervisor recorded no intervention; crash plan never fired")
+	if st.Relaunches != 1 || st.Rollbacks != 1 {
+		t.Errorf("stats %+v: want exactly one relaunch and one rollback for the one incident", st)
+	}
+}
+
+// TestFailedSessionQuarantined: a session whose batch failed must not
+// rejoin the free list as it is. Without recovery a crash kills the
+// session's machine, and before quarantine every later batch on it failed
+// at once; the pool now retires it and reopens the slot, so with the
+// crash spent (the plan's registry fires it once) the next request on the
+// one-session pool succeeds.
+func TestFailedSessionQuarantined(t *testing.T) {
+	a, so := testSetup(t, 2, 4, 1300)
+	so.Machine = machine.RunConfig{
+		Transport: fault.TransportRecoverable(fault.Plan{Seed: 9, Crash: map[int]int{1: 4}},
+			fault.ReliableOptions{MaxAttempts: 1 << 20}),
+		Timeout: 300 * time.Millisecond,
+	}
+	pool, err := Open(a, Options{Session: so, Sessions: 1, MaxCols: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	x := randVec(a.N, rand.New(rand.NewSource(1301)))
+	if _, err := pool.Apply("t", x); err == nil {
+		t.Fatal("the crashed batch succeeded without recovery")
+	}
+	resp, err := pool.Apply("t", x)
+	if err != nil {
+		t.Fatalf("request after the failed batch: %v", err)
+	}
+	clean, err := parallel.OpenSession(a, parallel.Options{Part: so.Part, B: so.B, Wiring: so.Wiring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	want, err := clean.Apply(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(resp.Y, want.Y) {
+		t.Error("the reopened session's Y is not bit-identical to a crash-free Apply")
 	}
 }

@@ -30,6 +30,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -161,14 +162,15 @@ type request struct {
 type Pool struct {
 	opts   Options
 	n      int // required request vector length
-	sess   []*parallel.Session
+	open   func(i int) (*parallel.Session, error)
 	free   chan *parallel.Session
 	queue  chan *request
 	met    *metrics
 	booted time.Time
 
-	mu     sync.RWMutex // guards closed against queue sends
+	mu     sync.RWMutex // guards closed against queue sends, and sess
 	closed bool
+	sess   []*parallel.Session // slot i holds the session open(i) returned
 
 	schedDone chan struct{}
 	flushes   sync.WaitGroup
@@ -278,6 +280,7 @@ func openPool(n int, o Options, open func(i int) (*parallel.Session, error)) (*P
 	p := &Pool{
 		opts:      o,
 		n:         n,
+		open:      open,
 		free:      make(chan *parallel.Session, o.Sessions),
 		queue:     make(chan *request, o.QueueCap),
 		met:       newMetrics(),
@@ -309,7 +312,7 @@ func (p *Pool) Dim() int { return p.n }
 // closed pool fails with ErrPoolClosed.
 func (p *Pool) Apply(tenant string, x []float64) (*Response, error) {
 	if len(x) != p.n {
-		return nil, fmt.Errorf("serve: vector length %d, serving dimension %d", len(x), p.n)
+		return nil, &DimError{Len: len(x), Dim: p.n}
 	}
 	req := &request{tenant: tenant, x: x, enq: time.Now(), done: make(chan outcome, 1)}
 	p.mu.RLock()
@@ -412,7 +415,8 @@ func (p *Pool) fill(first *request) ([]*request, Trigger) {
 // flush runs one coalesced batch on sess and demultiplexes the outcome.
 // The session returns to the free list as soon as ApplyBatch is done
 // (the batch result owns fresh column copies), before the per-request
-// fan-out.
+// fan-out — or, when the batch failed, once a fresh session has taken
+// its slot.
 func (p *Pool) flush(sess *parallel.Session, batch []*request, trig Trigger) {
 	defer p.flushes.Done()
 	X := make([][]float64, len(batch))
@@ -422,6 +426,9 @@ func (p *Pool) flush(sess *parallel.Session, batch []*request, trig Trigger) {
 	start := time.Now()
 	br, err := sess.ApplyBatch(X)
 	service := time.Since(start)
+	if err != nil {
+		sess = p.quarantine(sess)
+	}
 	p.free <- sess
 	if err != nil {
 		err = fmt.Errorf("serve: batch of %d failed: %w", len(batch), err)
@@ -446,6 +453,27 @@ func (p *Pool) flush(sess *parallel.Session, batch []*request, trig Trigger) {
 	}
 }
 
+// quarantine retires a session whose batch failed and reopens its slot
+// through the pool's open function: a dead session put back on the free
+// list would fail every later batch at once. If the reopen fails, the
+// retired session keeps the slot — a closed session rejects batches, so
+// later ones fail fast instead of waiting forever for a free session —
+// and the next failure retries the reopen.
+func (p *Pool) quarantine(sess *parallel.Session) *parallel.Session {
+	sess.Close() // its error is the batch's, already reported
+	p.mu.RLock()
+	i := slices.Index(p.sess, sess)
+	p.mu.RUnlock()
+	fresh, err := p.open(i)
+	if err != nil {
+		return sess
+	}
+	p.mu.Lock()
+	p.sess[i] = fresh
+	p.mu.Unlock()
+	return fresh
+}
+
 // Metrics returns the pool's serving counters so far, in the obs
 // serving-metrics shape (exportable with obs.WriteServingMetricsJSONL).
 func (p *Pool) Metrics() obs.ServingSnapshot {
@@ -456,19 +484,18 @@ func (p *Pool) Metrics() obs.ServingSnapshot {
 // pooled sessions (all zero unless Options.Session.Recovery was set).
 // Each recovery incident is attributed once to the session that absorbed
 // it, regardless of how many tenant columns the aborted batch carried.
+// A session retired after a failed batch takes its counters with it.
 func (p *Pool) RecoveryStats() parallel.RecoveryStats {
 	var total parallel.RecoveryStats
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	for _, s := range p.sess {
 		st := s.RecoveryStats()
 		total.RankDowns += st.RankDowns
-		total.Retries += st.Retries
 		total.Rollbacks += st.Rollbacks
-		total.Restarts += st.Restarts
 		total.Relaunches += st.Relaunches
 		total.Verifications += st.Verifications
 		total.Mismatches += st.Mismatches
-		total.Refences += st.Refences
-		total.FullRebinds += st.FullRebinds
 		total.CheckpointWords += st.CheckpointWords
 		total.CheckpointNanos += st.CheckpointNanos
 		total.RestoreNanos += st.RestoreNanos

@@ -216,16 +216,13 @@ type Session = parallel.Session
 // BatchResult reports a multi-column session application.
 type BatchResult = parallel.BatchResult
 
-// RecoveryOptions opts a session into crash recovery (set
-// ParallelOptions.Recovery): rank deaths are absorbed by checkpointed
-// rollback and replay behind an epoch fence, with bounded retries and a
-// degraded full-relaunch fallback. Committed results stay bit-identical
+// RecoveryStats counts the crash-recovery supervisor's interventions over
+// a session's lifetime (Session.RecoveryStats). Setting
+// ParallelOptions.Recovery opts a session into crash recovery: a rank
+// death relaunches the machine behind a new epoch fence, rolls back to
+// the last checkpoint and replays. Committed results stay bit-identical
 // to the crash-free session and logical meters count committed work
 // exactly once; recovery overhead appears only on the wire meters.
-type RecoveryOptions = parallel.RecoveryOptions
-
-// RecoveryStats counts the supervisor's interventions over a session's
-// lifetime (Session.RecoveryStats).
 type RecoveryStats = parallel.RecoveryStats
 
 // ErrSessionBusy is returned (wrapped) by Session operations invoked
