@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,13 +20,13 @@ import (
 
 // newTestServer serves a one-session pool over a random q = 2, b = 2
 // tensor (n = 10) through the real apply handler.
-func newTestServer(t *testing.T) (*httptest.Server, int) {
+func newTestServer(t testing.TB) (*httptest.Server, int) {
 	t.Helper()
 	return newTestServerOn(t, machine.RunConfig{})
 }
 
 // newTestServerOn is newTestServer with the sessions' machine config.
-func newTestServerOn(t *testing.T, mc machine.RunConfig) (*httptest.Server, int) {
+func newTestServerOn(t testing.TB, mc machine.RunConfig) (*httptest.Server, int) {
 	t.Helper()
 	part, err := partition.NewSpherical(2)
 	if err != nil {
@@ -178,4 +179,64 @@ func TestHTTPServerHasReadDeadlines(t *testing.T) {
 	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout %v, ReadTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.ReadTimeout)
 	}
+}
+
+// FuzzHandleApply drives /v1/apply end to end with arbitrary bodies on a
+// healthy engine. The handler must never panic and must always answer
+// with a JSON body, and the status class must match the cause: 400 for a
+// malformed body or an x of the wrong length (a DimError), 413 only for a
+// body over the size bound, 200 — or 422 for a result that overflows
+// float64 — for a well-formed request, and never 5xx, since nothing here
+// makes the engine fail.
+func FuzzHandleApply(f *testing.F) {
+	hs, n := newTestServer(f)
+	seed := func(x []float64) []byte {
+		body, err := json.Marshal(applyRequest{Tenant: "t", X: x})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return body
+	}
+	valid := make([]float64, n)
+	huge := make([]float64, n)
+	for i := range valid {
+		valid[i] = float64(i%3) - 1
+		huge[i] = 1e200
+	}
+	zeros, err := json.Marshal(make([]float64, n))
+	if err != nil {
+		f.Fatal(err)
+	}
+	oversized := append([]byte(`{"tenant":"t","x":`), zeros...)
+	oversized = append(oversized, bytes.Repeat([]byte(" "), int(maxApplyBody(n)))...)
+	oversized = append(oversized, '}')
+	for _, body := range [][]byte{seed(valid), seed(huge), seed(make([]float64, n)), seed(make([]float64, n-1)), oversized} {
+		f.Add(body)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := http.Post(hs.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(out) {
+			t.Fatalf("status %d with a body that is not JSON: %q", resp.StatusCode, out)
+		}
+		var req applyRequest
+		malformed := json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil || len(req.X) != n
+		ok := resp.StatusCode == http.StatusRequestEntityTooLarge && int64(len(body)) > maxApplyBody(n)
+		if malformed {
+			ok = ok || resp.StatusCode == http.StatusBadRequest
+		} else {
+			ok = ok || resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusUnprocessableEntity
+		}
+		if !ok {
+			t.Fatalf("status %d (%s) for a %d-byte body (malformed %v)", resp.StatusCode, out, len(body), malformed)
+		}
+	})
 }

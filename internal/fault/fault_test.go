@@ -56,13 +56,12 @@ type recordWire struct {
 	delivered  []machine.Packet
 }
 
-func (w *recordWire) Rank() int                      { return w.rank }
-func (w *recordWire) Size() int                      { return w.size }
-func (w *recordWire) Deliver(p machine.Packet)       { w.delivered = append(w.delivered, p) }
-func (w *recordWire) Pull() machine.Packet           { panic("recordWire: Pull") }
-func (w *recordWire) Pending([]machine.PendingEntry) {}
-func (w *recordWire) Aborting() bool                 { return false }
-func (w *recordWire) Epoch() int64                   { return 0 }
+func (w *recordWire) Rank() int                { return w.rank }
+func (w *recordWire) Size() int                { return w.size }
+func (w *recordWire) Deliver(p machine.Packet) { w.delivered = append(w.delivered, p) }
+func (w *recordWire) Pull() machine.Packet     { panic("recordWire: Pull") }
+func (w *recordWire) Aborting() bool           { return false }
+func (w *recordWire) Epoch() int64             { return 0 }
 func (w *recordWire) PullTimeout(time.Duration) (machine.Packet, bool) {
 	return machine.Packet{}, false
 }
@@ -218,5 +217,70 @@ func TestUnreachablePeerIsStructured(t *testing.T) {
 	}
 	if ue.Rank != 0 || ue.Peer != 1 || ue.Attempts != 3 {
 		t.Errorf("unreachable = %+v, want rank 0 → peer 1 after 3 attempts", ue)
+	}
+}
+
+// skipSeqWire numbers its rank's data packets on one tag a sequence
+// number ahead, so the receiver parks them out of order for good: the gap
+// before them never fills.
+type skipSeqWire struct {
+	machine.Wire
+	tag int
+}
+
+func (w skipSeqWire) Deliver(pkt machine.Packet) {
+	if pkt.Kind == machine.PacketData && pkt.Tag == w.tag {
+		pkt.Seq++
+	}
+	w.Wire.Deliver(pkt)
+}
+
+// TestReliableDeadlockReportsPending: a receiver stalled under the
+// reliable transport names both kinds of message it holds in the
+// DeadlockError — a released one no Recv has asked for, and a parked one
+// that arrived ahead of sequence (and is retransmitted while the run
+// stalls, which must not count it twice).
+func TestReliableDeadlockReportsPending(t *testing.T) {
+	factory := func(w machine.Wire) machine.Transport {
+		if w.Rank() == 0 {
+			w = skipSeqWire{Wire: w, tag: 5}
+		}
+		return fault.NewReliable(w, fault.ReliableOptions{})
+	}
+	h, err := machine.StartWith(2, machine.RunConfig{Transport: factory, Timeout: 200 * time.Millisecond}, func(c *machine.Comm) {
+		defer func() {
+			if r := recover(); r != nil && !machine.IsAbort(r) {
+				panic(r)
+			}
+		}()
+		if c.Rank() == 0 {
+			c.Send(1, 3, []float64{1, 2, 3, 4}) // released at rank 1, never received
+			c.Send(1, 5, []float64{5, 6})       // parked at rank 1, never acknowledged in sequence
+		} else {
+			c.Recv(0, 9) // never sent
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h.Wait()
+	h.Abort()
+	<-h.Exited()
+	var dead *machine.DeadlockError
+	if !errors.As(err, &dead) {
+		t.Fatalf("err %T (%v), want *machine.DeadlockError", err, err)
+	}
+	want := []machine.RankWait{
+		{Rank: 0, Kind: machine.BlockSend, Peer: 1, Tag: 5},
+		{Rank: 1, Kind: machine.BlockRecv, Peer: 0, Tag: 9, Pending: []machine.PendingEntry{
+			{From: 0, Tag: 3, Msgs: 1, Words: 4},
+			{From: 0, Tag: 5, Msgs: 1, Words: 2},
+		}},
+	}
+	for i := range dead.Waits {
+		dead.Waits[i].InboxPackets = 0 // retransmissions in flight vary
+	}
+	if !reflect.DeepEqual(dead.Waits, want) {
+		t.Errorf("waits = %+v\nwant %+v", dead.Waits, want)
 	}
 }

@@ -13,22 +13,13 @@ import (
 // delivery clock and re-fire the same crash forever, so no relaunch
 // budget could ever converge.
 type CrashRegistry struct {
-	mu    sync.Mutex
-	fired map[int]bool
+	fired sync.Map // rank → struct{}
 }
 
 // claim consumes rank's one crash allowance; false if already fired.
 func (cr *CrashRegistry) claim(rank int) bool {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if cr.fired[rank] {
-		return false
-	}
-	if cr.fired == nil {
-		cr.fired = make(map[int]bool)
-	}
-	cr.fired[rank] = true
-	return true
+	_, fired := cr.fired.LoadOrStore(rank, struct{}{})
+	return !fired
 }
 
 // TransportRecoverable builds the transport factory for a crash-recovery

@@ -68,7 +68,6 @@ func NewReliable(w machine.Wire, opt ReliableOptions) machine.Transport {
 		nextSeq: make([]int, p),
 		expect:  make([]int, p),
 		parked:  make([]map[int]machine.Packet, p),
-		pending: make(map[[2]int][]machine.Packet),
 	}
 	for i := 0; i < p; i++ {
 		r.nextSeq[i] = 1
@@ -89,9 +88,8 @@ type reliable struct {
 	expect []int
 	// parked[from] holds intact packets that arrived ahead of sequence.
 	parked []map[int]machine.Packet
-	// pending holds released packets not yet consumed by Recv, keyed by
-	// [2]int{from, tag}, FIFO per key.
-	pending map[[2]int][]machine.Packet
+	// buf queues released packets for Recv and tallies the parked ones.
+	buf machine.PendingBuffer
 }
 
 func (r *reliable) Send(to, tag int, data []float64) {
@@ -138,13 +136,9 @@ func (r *reliable) Send(to, tag int, data []float64) {
 // Recv never marks a payload recyclable: the sender's retransmission
 // window may still alias the buffer.
 func (r *reliable) Recv(from, tag int) ([]float64, bool) {
-	key := [2]int{from, tag}
 	for {
-		if q := r.pending[key]; len(q) > 0 {
-			data := q[0].Data
-			r.pending[key] = q[1:]
-			r.publishPending()
-			return data, false
+		if pkt, ok := r.buf.Pop(from, tag); ok {
+			return pkt.Data, false
 		}
 		in := r.w.Pull()
 		if in.Kind == machine.PacketData {
@@ -173,10 +167,12 @@ func (r *reliable) handleData(pkt machine.Packet) {
 		if r.parked[from] == nil {
 			r.parked[from] = make(map[int]machine.Packet)
 		}
-		r.parked[from][pkt.Seq] = pkt // idempotent for duplicates
-		r.publishPending()
+		if _, dup := r.parked[from][pkt.Seq]; !dup {
+			r.parked[from][pkt.Seq] = pkt
+			r.buf.Tally(pkt, 1)
+		}
 	default:
-		r.release(pkt)
+		r.buf.Push(pkt)
 		r.expect[from]++
 		for {
 			next, ok := r.parked[from][r.expect[from]]
@@ -184,7 +180,8 @@ func (r *reliable) handleData(pkt machine.Packet) {
 				break
 			}
 			delete(r.parked[from], r.expect[from])
-			r.release(next)
+			r.buf.Tally(next, -1)
+			r.buf.Push(next)
 			r.expect[from]++
 		}
 	}
@@ -222,24 +219,7 @@ func (r *reliable) service(stop <-chan struct{}, dupOnly bool) {
 	}
 }
 
-func (r *reliable) release(pkt machine.Packet) {
-	key := [2]int{pkt.From, pkt.Tag}
-	r.pending[key] = append(r.pending[key], pkt)
-	r.publishPending()
-}
-
-// publishPending publishes a diagnostics summary of everything this
-// transport has buffered: released payloads awaiting a Recv plus parked
-// out-of-order packets, which the stall watchdog prints.
-func (r *reliable) publishPending() {
-	entries := machine.SummarizePending(r.pending)
-	for from, parked := range r.parked {
-		for _, pkt := range parked {
-			entries = append(entries, machine.PendingEntry{From: from, Tag: pkt.Tag, Msgs: 1, Words: len(pkt.Data)})
-		}
-	}
-	r.w.Pending(entries)
-}
+func (r *reliable) Buffered() *machine.PendingBuffer { return &r.buf }
 
 // checksum is FNV-1a over the payload's IEEE-754 bit patterns.
 func checksum(data []float64) uint64 {

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -162,14 +161,12 @@ func (e UnreachableError) Error() string {
 // transition, so a reader can never pair BlockSend or BlockRecv with
 // another operation's peer and tag; the other kinds carry no peer or
 // tag. The counter doubles as the rank's progress signal for the stall
-// watchdog. The mutex guards only the cold fields below it.
+// watchdog. rankDiag takes no lock; the pending buffer has its own.
 type rankDiag struct {
 	state     atomic.Uint64
 	peer, tag atomic.Int64
-
-	mu       sync.Mutex
-	pending  []PendingEntry
-	panicVal any
+	pending   atomic.Pointer[PendingBuffer]
+	panicVal  atomic.Pointer[any]
 }
 
 // set publishes a transition to kind k. Only the owning rank calls it
@@ -192,25 +189,18 @@ func (d *rankDiag) parkForHost() { d.setBlocked(BlockHost, -1, -1) }
 
 func (d *rankDiag) setRunning() { d.set(BlockNone) }
 
-func (d *rankDiag) setPending(entries []PendingEntry) {
-	d.mu.Lock()
-	d.pending = entries
-	d.mu.Unlock()
-}
-
 func (d *rankDiag) setDone() { d.set(BlockDone) }
 
 func (d *rankDiag) setPanic(v any) {
-	d.mu.Lock()
-	d.panicVal = v
-	d.mu.Unlock()
+	d.panicVal.Store(&v)
 	d.set(BlockCrashed)
 }
 
 func (d *rankDiag) panicValue() any {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.panicVal
+	if v := d.panicVal.Load(); v != nil {
+		return *v
+	}
+	return nil
 }
 
 // progress returns the rank's transition counter: it moves whenever the
@@ -226,11 +216,4 @@ func (d *rankDiag) block() (BlockKind, int, int) {
 			return BlockKind(s & 0xff), int(peer), int(tag)
 		}
 	}
-}
-
-func (d *rankDiag) snapshot() (BlockKind, int, int, []PendingEntry) {
-	kind, peer, tag := d.block()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return kind, peer, tag, append([]PendingEntry(nil), d.pending...)
 }

@@ -152,6 +152,7 @@ func (h *Handle) runRank(rank int) {
 	d := &m.ranks[rank].diag
 	c := &Comm{m: m, rank: rank, diag: d, l: m.links[rank]}
 	c.t = h.factory(c.l)
+	d.pending.Store(c.t.Buffered())
 	c.idler, _ = c.t.(Idler)
 	var panicVal any
 	panicked := func() (panicked bool) {
@@ -241,7 +242,7 @@ func (h *Handle) Exited() <-chan struct{} { return h.done }
 func (h *Handle) CrashedRanks() []int {
 	var out []int
 	for _, r := range h.m.localRanks {
-		kind, _, _, _ := h.m.ranks[r].diag.snapshot()
+		kind, _, _ := h.m.ranks[r].diag.block()
 		if kind == BlockCrashed {
 			out = append(out, r)
 		}

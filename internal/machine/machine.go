@@ -162,12 +162,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 // returns its payload. Messages from the same (source, tag) are delivered
 // in send order.
 func (c *Comm) Recv(from, tag int) []float64 {
-	c.m.checkAbort()
-	c.diag.setBlocked(BlockRecv, from, tag)
-	data, _ := c.t.Recv(from, tag)
-	c.diag.setRunning()
-	c.m.ranks[c.rank].recv.add(int64(len(data)))
-	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
+	data, _ := c.recv(from, tag)
 	return data
 }
 
@@ -183,16 +178,11 @@ func (c *Comm) Recv(from, tag int) []float64 {
 // receiver that preplans exact message sizes (parallel.Session) can only
 // reach that state through a protocol bug.
 func (c *Comm) RecvInto(from, tag int, dst []float64) int {
-	c.m.checkAbort()
-	c.diag.setBlocked(BlockRecv, from, tag)
-	data, recycle := c.t.Recv(from, tag)
-	c.diag.setRunning()
+	data, recycle := c.recv(from, tag)
 	if len(data) > len(dst) {
 		panic(fmt.Sprintf("machine: rank %d RecvInto(%d, %d): payload %d words, buffer %d",
 			c.rank, from, tag, len(data), len(dst)))
 	}
-	c.m.ranks[c.rank].recv.add(int64(len(data)))
-	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
 	copy(dst, data)
 	if recycle {
 		// Back to the sender's pool: a rank that only sends would
@@ -200,6 +190,17 @@ func (c *Comm) RecvInto(from, tag int, dst []float64) int {
 		c.m.ranks[from].pool.put(data)
 	}
 	return len(data)
+}
+
+// recv is the metered, traced transport receive behind Recv and RecvInto.
+func (c *Comm) recv(from, tag int) ([]float64, bool) {
+	c.m.checkAbort()
+	c.diag.setBlocked(BlockRecv, from, tag)
+	data, recycle := c.t.Recv(from, tag)
+	c.diag.setRunning()
+	c.m.ranks[c.rank].recv.add(int64(len(data)))
+	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
+	return data, recycle
 }
 
 // Barrier blocks until all P ranks have entered it. A transport that
@@ -600,7 +601,7 @@ func (m *Machine) progress() uint64 {
 func (m *Machine) hostQuiescent() bool {
 	idle := false
 	for _, r := range m.localRanks {
-		kind, _, _, _ := m.ranks[r].diag.snapshot()
+		kind, _, _ := m.ranks[r].diag.block()
 		switch kind {
 		case BlockDone:
 		case BlockCrashed:
@@ -625,7 +626,7 @@ func (m *Machine) hostQuiescent() bool {
 func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 	e := &DeadlockError{P: m.p, Timeout: timeout}
 	for _, r := range m.localRanks {
-		kind, peer, tag, pending := m.ranks[r].diag.snapshot()
+		kind, peer, tag := m.ranks[r].diag.block()
 		switch kind {
 		case BlockDone:
 			continue
@@ -639,7 +640,7 @@ func (m *Machine) deadlockError(timeout time.Duration) *DeadlockError {
 			Peer:         peer,
 			Tag:          tag,
 			InboxPackets: m.links[r].raw.Depth(),
-			Pending:      pending,
+			Pending:      m.ranks[r].diag.pending.Load().entries(),
 		})
 	}
 	return e

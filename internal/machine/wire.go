@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -75,9 +77,6 @@ type Wire interface {
 	Pull() Packet
 	// PullTimeout is Pull with a deadline; ok is false on timeout.
 	PullTimeout(d time.Duration) (Packet, bool)
-	// Pending publishes a snapshot of the transport's buffered-but-
-	// undelivered messages for the deadlock monitor's diagnostics.
-	Pending(entries []PendingEntry)
 	// Aborting reports whether the machine is being aborted (a
 	// crash-recovery supervisor retiring it). A transport looping on
 	// PullTimeout — waiting for an acknowledgement, say — must check it
@@ -98,6 +97,9 @@ type Transport interface {
 	// once the caller has copied it out (Comm.RecvInto). A transport that
 	// retains or re-delivers payloads must return recycle == false.
 	Recv(from, tag int) (data []float64, recycle bool)
+	// Buffered returns the transport's buffer of messages pulled from the
+	// wire ahead of their Recv; the stall watchdog reads its tallies.
+	Buffered() *PendingBuffer
 }
 
 // TransportFactory builds one rank's transport around its raw wire
@@ -169,9 +171,7 @@ func (l *link) Deliver(pkt Packet) {
 
 func (l *link) Pull() Packet {
 	for {
-		if l.m.aborting.Load() {
-			panic(abortPanic{})
-		}
+		l.m.checkAbort()
 		pkt, ok := l.raw.Pull(l.m.abortCh)
 		if !ok {
 			continue // the abort channel woke us; the check above unwinds
@@ -179,51 +179,46 @@ func (l *link) Pull() Packet {
 		if pkt.Epoch != l.m.epoch {
 			continue // stale retransmission from an earlier incarnation
 		}
-		l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
-		if l.m.wireEvents {
-			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
-		}
+		l.received(pkt)
 		return pkt
 	}
 }
 
 func (l *link) PullTimeout(d time.Duration) (Packet, bool) {
 	pkt, ok := l.raw.PullTimeout(d)
-	if ok && pkt.Epoch != l.m.epoch {
+	if !ok || pkt.Epoch != l.m.epoch {
 		// A stale-epoch packet reads as silence, never as a panic: this
 		// path also serves the Idle/Linger/park loops, which must survive
 		// an abort intact.
 		return Packet{}, false
 	}
-	if ok {
-		l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
-		if l.m.wireEvents {
-			l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
-		}
+	l.received(pkt)
+	return pkt, true
+}
+
+// received meters (and traces) a packet the rank pulled off the wire.
+func (l *link) received(pkt Packet) {
+	l.m.ranks[l.rank].wireRecv.add(l.raw.PacketCost(pkt))
+	if l.m.wireEvents {
+		l.m.emit(l.rank, Event{Kind: EventRecv, From: pkt.From, To: l.rank, Tag: pkt.Tag, Words: len(pkt.Data), Step: -1, Wire: true})
 	}
-	return pkt, ok
 }
 
 func (l *link) Aborting() bool { return l.m.aborting.Load() }
 
-func (l *link) Pending(entries []PendingEntry) {
-	l.m.ranks[l.rank].diag.setPending(entries)
-}
-
 // directTransport is the default transport: a logical message is exactly
 // one packet, delivery is exact and in order (the simulated network is
 // perfect), so no acks, sequence numbers, or retransmission are needed.
-// Packets pulled while waiting for a specific (from, tag) are buffered
-// per key, FIFO, preserving the per-(sender, tag) ordering guarantee.
+// Packets pulled while waiting for another (from, tag) wait in buf.
 type directTransport struct {
-	w       Wire
-	pending map[[2]int][]Packet
+	w   Wire
+	buf PendingBuffer
 }
 
 // NewDirectTransport returns the default transport over w. It is exported
 // so fault injectors can compose it over a perturbed wire.
 func NewDirectTransport(w Wire) Transport {
-	return &directTransport{w: w, pending: make(map[[2]int][]Packet)}
+	return &directTransport{w: w}
 }
 
 func (t *directTransport) Send(to, tag int, data []float64) {
@@ -235,12 +230,7 @@ func (t *directTransport) Send(to, tag int, data []float64) {
 // Recv propagates the packet's Recycle mark so Comm.RecvInto can pool the
 // buffer.
 func (t *directTransport) Recv(from, tag int) ([]float64, bool) {
-	key := [2]int{from, tag}
-	if q := t.pending[key]; len(q) > 0 {
-		pkt := q[0]
-		q[0] = Packet{}
-		t.pending[key] = q[1:]
-		t.w.Pending(SummarizePending(t.pending))
+	if pkt, ok := t.buf.Pop(from, tag); ok {
 		return pkt.Data, pkt.Recycle
 	}
 	for {
@@ -248,31 +238,86 @@ func (t *directTransport) Recv(from, tag int) ([]float64, bool) {
 		if pkt.From == from && pkt.Tag == tag {
 			return pkt.Data, pkt.Recycle
 		}
-		k := [2]int{pkt.From, pkt.Tag}
-		t.pending[k] = append(t.pending[k], pkt)
-		t.w.Pending(SummarizePending(t.pending))
+		t.buf.Push(pkt)
 	}
 }
 
-// SummarizePending condenses a transport's buffered packets (keyed by
-// [2]int{from, tag}) into sorted diagnostic entries for Wire.Pending.
-func SummarizePending(pending map[[2]int][]Packet) []PendingEntry {
-	var out []PendingEntry
-	for key, msgs := range pending {
-		if len(msgs) == 0 {
-			continue
-		}
-		words := 0
-		for _, m := range msgs {
-			words += len(m.Data)
-		}
-		out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: len(msgs), Words: words})
+func (t *directTransport) Buffered() *PendingBuffer { return &t.buf }
+
+// PendingBuffer holds the packets a transport pulled from the wire ahead
+// of the Recv that wants them: a FIFO per (from, tag), with message and
+// word tallies kept current on every push and pop. The zero value is
+// ready to use. Only the owning rank writes; the lock lets the stall
+// watchdog read the tallies (entries) while it does.
+type PendingBuffer struct {
+	mu   sync.Mutex
+	keys map[[2]int]pendingQueue
+}
+
+type pendingQueue struct {
+	pkts        []Packet // oldest first; the storage is reused across pops
+	msgs, words int      // the queued packets plus those counted by Tally
+}
+
+// Push appends pkt to its (From, Tag) queue.
+func (b *PendingBuffer) Push(pkt Packet) { b.add(pkt, 1, true) }
+
+// Tally adds n (+1 or -1) copies of pkt to its (From, Tag) tallies without
+// queuing it, so packets a transport holds elsewhere — the reliable
+// transport's out-of-sequence arrivals — are reported as pending too.
+func (b *PendingBuffer) Tally(pkt Packet, n int) { b.add(pkt, n, false) }
+
+func (b *PendingBuffer) add(pkt Packet, n int, queue bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.keys == nil {
+		b.keys = make(map[[2]int]pendingQueue)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	key := [2]int{pkt.From, pkt.Tag}
+	q := b.keys[key]
+	if queue {
+		q.pkts = append(q.pkts, pkt)
+	}
+	q.msgs += n
+	q.words += n * len(pkt.Data)
+	b.keys[key] = q
+}
+
+// Pop removes and returns the oldest packet queued for (from, tag). The
+// buffer keeps no reference to the packet it hands out. A miss takes no
+// lock: the owning rank is the only writer, so its reads cannot race.
+func (b *PendingBuffer) Pop(from, tag int) (Packet, bool) {
+	key := [2]int{from, tag}
+	q := b.keys[key]
+	if len(q.pkts) == 0 {
+		return Packet{}, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	pkt := q.pkts[0]
+	q.pkts = slices.Delete(q.pkts, 0, 1) // clears the vacated slot
+	q.msgs--
+	q.words -= len(pkt.Data)
+	b.keys[key] = q
+	return pkt, true
+}
+
+// entries summarizes the buffer for diagnostics: one entry per (from,
+// tag) with pending messages, sorted by from, then tag.
+func (b *PendingBuffer) entries() []PendingEntry {
+	if b == nil {
+		return nil // the rank's transport is not built yet
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []PendingEntry
+	for key, q := range b.keys {
+		if q.msgs > 0 {
+			out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: q.msgs, Words: q.words})
 		}
-		return out[i].Tag < out[j].Tag
+	}
+	slices.SortFunc(out, func(x, y PendingEntry) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.Tag, y.Tag))
 	})
 	return out
 }

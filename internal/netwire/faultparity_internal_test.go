@@ -23,9 +23,8 @@ func (w *recordWire) Pull() machine.Packet       { panic("recordWire: Pull") }
 func (w *recordWire) PullTimeout(time.Duration) (machine.Packet, bool) {
 	return machine.Packet{}, false
 }
-func (w *recordWire) Pending([]machine.PendingEntry) {}
-func (w *recordWire) Aborting() bool                 { return false }
-func (w *recordWire) Epoch() int64                   { return 0 }
+func (w *recordWire) Aborting() bool { return false }
+func (w *recordWire) Epoch() int64   { return 0 }
 
 // sent is one packet an operation put on the wire, identified by the
 // sequence number of the operation that produced it.

@@ -373,12 +373,19 @@ func BenchmarkAlg5Q2(b *testing.B) {
 // handoff-bound point q = 4, b = 6 (n = 102, P = 68): 110 barrier-separated
 // exchange steps around a local phase of about n³/2 ternary
 // multiplications.
-func BenchmarkSessionApplyQ4B6(b *testing.B) {
+func BenchmarkSessionApplyQ4B6(b *testing.B) { benchSessionApplyQ4B6(b, WiringP2P) }
+
+// BenchmarkSessionApplyAllToAllQ4B6 is BenchmarkSessionApplyQ4B6 under the
+// All-to-All wiring, where many messages arrive before the receive that
+// wants them and wait in the transport's pending buffer.
+func BenchmarkSessionApplyAllToAllQ4B6(b *testing.B) { benchSessionApplyQ4B6(b, WiringAllToAll) }
+
+func benchSessionApplyQ4B6(b *testing.B, wiring Wiring) {
 	rng := rand.New(rand.NewSource(5))
 	part := sphericalPart(b, 4)
 	const blockEdge = 6
 	n := part.M * blockEdge
-	s, err := OpenSession(tensor.Random(n, rng), Options{Part: part, B: blockEdge, Wiring: WiringP2P})
+	s, err := OpenSession(tensor.Random(n, rng), Options{Part: part, B: blockEdge, Wiring: wiring})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -133,3 +133,58 @@ func TestFailedSessionQuarantined(t *testing.T) {
 		t.Error("the reopened session's Y is not bit-identical to a crash-free Apply")
 	}
 }
+
+// TestQuarantineKeepsRecoveryStats: the pool's recovery counters only
+// grow. A session that absorbed a recovery incident and is then retired
+// by quarantine — as a failed batch retires it — must leave its counts in
+// Pool.RecoveryStats instead of taking them along.
+func TestQuarantineKeepsRecoveryStats(t *testing.T) {
+	a, so := testSetup(t, 2, 4, 1400)
+	so.Machine = machine.RunConfig{
+		Transport: fault.TransportRecoverable(fault.Plan{Seed: 7, Crash: map[int]int{1: 4}},
+			fault.ReliableOptions{MaxAttempts: 1 << 20}),
+		Timeout: 2 * time.Second,
+	}
+	so.Recovery = true
+	pool, err := Open(a, Options{Session: so, Sessions: 1, MaxCols: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	x := randVec(a.N, rand.New(rand.NewSource(1401)))
+	if _, err := pool.Apply("t", x); err != nil {
+		t.Fatal(err)
+	}
+	before := pool.RecoveryStats()
+	if before.Relaunches == 0 || before.RankDowns == 0 {
+		t.Fatalf("stats %+v: the crash was not recovered", before)
+	}
+
+	// Retire the session the way the flush path does after a failed batch.
+	sess := <-pool.free
+	pool.free <- pool.quarantine(sess)
+	if _, err := pool.Apply("t", x); err != nil {
+		t.Fatalf("request after the quarantine: %v", err)
+	}
+
+	after := pool.RecoveryStats()
+	counters := []struct {
+		name          string
+		before, after int64
+	}{
+		{"RankDowns", int64(before.RankDowns), int64(after.RankDowns)},
+		{"Rollbacks", int64(before.Rollbacks), int64(after.Rollbacks)},
+		{"Relaunches", int64(before.Relaunches), int64(after.Relaunches)},
+		{"Epoch", before.Epoch, after.Epoch},
+		{"Verifications", int64(before.Verifications), int64(after.Verifications)},
+		{"Mismatches", int64(before.Mismatches), int64(after.Mismatches)},
+		{"CheckpointWords", before.CheckpointWords, after.CheckpointWords},
+		{"CheckpointNanos", before.CheckpointNanos, after.CheckpointNanos},
+		{"RestoreNanos", before.RestoreNanos, after.RestoreNanos},
+	}
+	for _, c := range counters {
+		if c.after < c.before {
+			t.Errorf("%s fell from %d to %d across the quarantine", c.name, c.before, c.after)
+		}
+	}
+}

@@ -168,9 +168,10 @@ type Pool struct {
 	met    *metrics
 	booted time.Time
 
-	mu     sync.RWMutex // guards closed against queue sends, and sess
-	closed bool
-	sess   []*parallel.Session // slot i holds the session open(i) returned
+	mu      sync.RWMutex // guards closed against queue sends, sess and retired
+	closed  bool
+	sess    []*parallel.Session    // slot i holds the session open(i) returned
+	retired parallel.RecoveryStats // recovery counters of sessions quarantine replaced
 
 	schedDone chan struct{}
 	flushes   sync.WaitGroup
@@ -469,6 +470,7 @@ func (p *Pool) quarantine(sess *parallel.Session) *parallel.Session {
 		return sess
 	}
 	p.mu.Lock()
+	addRecovery(&p.retired, sess.RecoveryStats())
 	p.sess[i] = fresh
 	p.mu.Unlock()
 	return fresh
@@ -484,26 +486,29 @@ func (p *Pool) Metrics() obs.ServingSnapshot {
 // pooled sessions (all zero unless Options.Session.Recovery was set).
 // Each recovery incident is attributed once to the session that absorbed
 // it, regardless of how many tenant columns the aborted batch carried.
-// A session retired after a failed batch takes its counters with it.
+// A session retired after a failed batch leaves its counters behind, so
+// none of them ever decreases.
 func (p *Pool) RecoveryStats() parallel.RecoveryStats {
-	var total parallel.RecoveryStats
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	total := p.retired
 	for _, s := range p.sess {
-		st := s.RecoveryStats()
-		total.RankDowns += st.RankDowns
-		total.Rollbacks += st.Rollbacks
-		total.Relaunches += st.Relaunches
-		total.Verifications += st.Verifications
-		total.Mismatches += st.Mismatches
-		total.CheckpointWords += st.CheckpointWords
-		total.CheckpointNanos += st.CheckpointNanos
-		total.RestoreNanos += st.RestoreNanos
-		if st.Epoch > total.Epoch {
-			total.Epoch = st.Epoch
-		}
+		addRecovery(&total, s.RecoveryStats())
 	}
 	return total
+}
+
+// addRecovery adds st's counters into total; Epoch takes the larger.
+func addRecovery(total *parallel.RecoveryStats, st parallel.RecoveryStats) {
+	total.RankDowns += st.RankDowns
+	total.Rollbacks += st.Rollbacks
+	total.Relaunches += st.Relaunches
+	total.Verifications += st.Verifications
+	total.Mismatches += st.Mismatches
+	total.CheckpointWords += st.CheckpointWords
+	total.CheckpointNanos += st.CheckpointNanos
+	total.RestoreNanos += st.RestoreNanos
+	total.Epoch = max(total.Epoch, st.Epoch)
 }
 
 // Close stops admission, drains the queue (every already-admitted
