@@ -85,12 +85,13 @@ func main() {
 // the simulated α-β clock, and checks the observed barrier-step count and
 // phase time against the closed-form schedule-length formulas: the P2P
 // wiring's q³/2+3q²/2−1 steps replaying to Σ(α + maxWords·β), and the
-// All-to-All wiring's nominal P−1 rounds (metered, barrier-free).
+// All-to-All wiring's P−1 pairwise steps of fixed width W = 2·maxChunk
+// replaying to (P−1)(α + W·β).
 func timelineExp() error {
 	fmt.Println("## E11: replayed timeline vs schedule-length formulas (α=10µs, β=10ns, γ=0)")
 	fmt.Println()
-	fmt.Println("| q | P | p2p replay steps | q³/2+3q²/2−1 | p2p replay time | Σ(α+maxW·β) | a2a meter steps | P−1 |")
-	fmt.Println("|---|---|---|---|---|---|---|---|")
+	fmt.Println("| q | P | p2p replay steps | q³/2+3q²/2−1 | p2p replay time | Σ(α+maxW·β) | a2a replay steps | P−1 | a2a replay time | (P−1)(α+W·β) |")
+	fmt.Println("|---|---|---|---|---|---|---|---|---|---|")
 	model := obs.TimeModel{Alpha: 1e-5, Beta: 1e-8, Gamma: 0}
 	for _, q := range []int{2, 3, 4} {
 		part, err := partition.NewSpherical(q)
@@ -126,19 +127,33 @@ func timelineExp() error {
 		if math.Abs(gotTime-wantTime) > 1e-9*wantTime {
 			return fmt.Errorf("q=%d: replay time %g, closed form %g", q, gotTime, wantTime)
 		}
+		var recA obs.Recorder
 		resA, err := parallel.Run(nil, x, parallel.Options{
 			Part: part, B: b, Wiring: parallel.WiringAllToAll,
-			Machine: machine.RunConfig{Timeout: time.Minute},
+			Machine: machine.RunConfig{Timeout: time.Minute, Observer: recA.Observer()},
 		})
 		if err != nil {
 			return err
 		}
-		a2aSteps := resA.Phase("gather").Steps
-		if a2aSteps != part.P-1 {
-			return fmt.Errorf("q=%d: all-to-all meters %d steps, want P-1 = %d", q, a2aSteps, part.P-1)
+		tlA, err := obs.Replay(recA.Trace(), model)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("| %d | %d | %d | %d | %.4gs | %.4gs | %d | %d |\n",
-			q, part.P, gotSteps, wantSteps, gotTime, wantTime, a2aSteps, part.P-1)
+		maxChunk := 0
+		for _, sharers := range part.Qi {
+			maxChunk = max(maxChunk, (b+len(sharers)-1)/len(sharers))
+		}
+		a2aSteps := tlA.PhaseSteps["gather"]
+		a2aTime := tlA.PhaseTime("gather")
+		a2aWant := schedule.AllToAllMakespan(part.P, 2*maxChunk, model.Alpha, model.Beta)
+		if a2aSteps != part.P-1 || resA.Steps != part.P-1 {
+			return fmt.Errorf("q=%d: all-to-all replay counts %d steps, want P-1 = %d", q, a2aSteps, part.P-1)
+		}
+		if math.Abs(a2aTime-a2aWant) > 1e-9*a2aWant {
+			return fmt.Errorf("q=%d: all-to-all replay time %g, closed form %g", q, a2aTime, a2aWant)
+		}
+		fmt.Printf("| %d | %d | %d | %d | %.4gs | %.4gs | %d | %d | %.4gs | %.4gs |\n",
+			q, part.P, gotSteps, wantSteps, gotTime, wantTime, a2aSteps, part.P-1, a2aTime, a2aWant)
 	}
 	return nil
 }

@@ -227,6 +227,21 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// checkPoolFlags rejects pool sizes the serving pool would silently
+// replace with its defaults: /v1/info reports the flags, so they must be
+// the values the pool runs with.
+func checkPoolFlags(sessions, maxCols int, maxWait time.Duration) error {
+	switch {
+	case sessions < 1:
+		return fmt.Errorf("-sessions %d: must be positive", sessions)
+	case maxCols < 1:
+		return fmt.Errorf("-maxcols %d: must be positive", maxCols)
+	case maxWait <= 0:
+		return fmt.Errorf("-maxwait %v: must be positive", maxWait)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8347", "listen address")
 	q := flag.Int("q", 3, "prime power for the spherical tetrahedral partition")
@@ -248,6 +263,10 @@ func main() {
 	flag.Parse()
 	if err := backend.Validate(false); err != nil {
 		fatal(err)
+	}
+	if err := checkPoolFlags(*sessions, *maxCols, *maxWait); err != nil {
+		fmt.Fprintln(os.Stderr, "sttsvserve:", err)
+		os.Exit(2) // a bad flag value, as the flag package exits
 	}
 	if *metricsInterval > 0 && *metricsOut == "" {
 		fatal(fmt.Errorf("-metrics-interval requires -metrics"))

@@ -1,13 +1,15 @@
 // Package collective layers MPI-style collective operations over the
-// machine simulator: the fixed-width All-to-All whose cost the paper
-// charges in §7.2, all-gather, reduce-scatter, and all-reduce, all over
+// machine simulator: all-gather, reduce-scatter and all-reduce, all over
 // the world group of every rank.
 //
-// The All-to-All uses the P−1-step pairwise-exchange schedule that Thakur
-// et al. describe as bandwidth-optimal — the algorithm the paper's
-// All-to-All analysis assumes. In step r each member sends to the member r
-// positions ahead and receives from the member r positions behind, so
-// every rank sends and receives at most one message per step.
+// The all-gather and reduce-scatter use the P−1-step pairwise-exchange
+// schedule that Thakur et al. describe as bandwidth-optimal: in step r
+// each member sends to the member r positions ahead and receives from the
+// member r positions behind, so every rank sends and receives at most one
+// message per step. Algorithm 5's fixed-width All-to-All, whose cost the
+// paper charges in §7.2, runs that same schedule as layout data through
+// package parallel's superstep exchange rather than through a collective
+// here.
 //
 // Every collective labels the trace events it generates with its operation
 // name (machine.Event.Op), so a recorded trace can attribute each word
@@ -38,38 +40,6 @@ func (g *Group) Comm() *machine.Comm { return g.c }
 
 // Size returns the number of group members.
 func (g *Group) Size() int { return g.c.Size() }
-
-// AllToAllFixedInto performs an all-to-all where every ordered pair
-// exchanges exactly width words over caller-owned buffers: send[i] and
-// recv[i] must all hold exactly width words (the caller pads once and
-// reuses the buffers across calls), and incoming payloads are copied into
-// recv via RecvInto so a steady-state loop performs no allocations. The
-// self slot is copied locally without communication.
-//
-// This is the MPI_Alltoall-style fixed-width collective whose bandwidth
-// the paper charges in §7.2: each of the P−1 steps costs width words even
-// between pairs that share nothing, which is why Algorithm 5 wired this
-// way costs twice the lower bound.
-func (g *Group) AllToAllFixedInto(tag, width int, send, recv [][]float64) {
-	g.c.BeginOp("all-to-all")
-	defer g.c.EndOp()
-	p, me := g.Size(), g.c.Rank()
-	if len(send) != p || len(recv) != p {
-		panic(fmt.Sprintf("collective: AllToAllFixedInto with %d/%d buffers for group of %d", len(send), len(recv), p))
-	}
-	for i := 0; i < p; i++ {
-		if len(send[i]) != width || len(recv[i]) != width {
-			panic(fmt.Sprintf("collective: AllToAllFixedInto slot %d has %d/%d words, width %d", i, len(send[i]), len(recv[i]), width))
-		}
-	}
-	copy(recv[me], send[me])
-	for r := 1; r < p; r++ {
-		to := (me + r) % p
-		from := (me - r + p) % p
-		g.c.Send(to, tag, send[to])
-		g.c.RecvInto(from, tag, recv[from])
-	}
-}
 
 // AllGatherV gathers each member's buffer on every member: the result's
 // slot i is member i's mine. Buffers may have different lengths.

@@ -27,42 +27,6 @@ func TestWorldGroup(t *testing.T) {
 	})
 }
 
-// fixedBuffers returns p zeroed width-word buffers — the caller-side
-// padding AllToAllFixedInto expects.
-func fixedBuffers(p, width int) [][]float64 {
-	bufs := make([][]float64, p)
-	for i := range bufs {
-		bufs[i] = make([]float64, width)
-	}
-	return bufs
-}
-
-func TestAllToAllFixedPadsEveryPair(t *testing.T) {
-	const p, width = 5, 4
-	rep := run(t, p, func(c *machine.Comm) {
-		g := World(c)
-		send, got := fixedBuffers(p, width), fixedBuffers(p, width)
-		send[(c.Rank()+1)%p][0] = 1 // almost everything padding
-		g.AllToAllFixedInto(0, width, send, got)
-		from := (c.Rank() - 1 + p) % p
-		if got[from][0] != 1 {
-			t.Errorf("rank %d: payload lost", c.Rank())
-		}
-		for i := range got {
-			if i != from && got[i][0] != 0 {
-				t.Errorf("rank %d slot %d: %v, want padding", c.Rank(), i, got[i])
-			}
-		}
-	})
-	// Fixed-width semantics: every rank sends width·(p−1) words regardless
-	// of payload — the §7.2 accounting.
-	for r, w := range rep.SentWords {
-		if w != width*(p-1) {
-			t.Errorf("rank %d sent %d words, want %d", r, w, width*(p-1))
-		}
-	}
-}
-
 func TestAllGatherV(t *testing.T) {
 	const p = 7
 	run(t, p, func(c *machine.Comm) {
@@ -133,15 +97,4 @@ func TestAllReduceSum(t *testing.T) {
 			t.Errorf("rank %d: got %v", c.Rank(), got)
 		}
 	})
-}
-
-func BenchmarkAllToAllFixed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, err := machine.RunWith(16, machine.RunConfig{Timeout: time.Minute}, func(c *machine.Comm) {
-			World(c).AllToAllFixedInto(0, 32, fixedBuffers(16, 32), fixedBuffers(16, 32))
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -63,7 +63,7 @@ func TestSocketChaosConformance(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		ref := runApply(t, a, x, part, b, nil)
+		ref := runApply(t, a, x, part, b, parallel.WiringP2P, nil)
 		for _, plan := range chaosPlans {
 			for _, network := range networks {
 				plan, network := plan, network
@@ -120,7 +120,7 @@ func TestSocketChaosCrashRecoveryComposition(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	ref := runApply(t, a, x, part, b, nil)
+	ref := runApply(t, a, x, part, b, parallel.WiringP2P, nil)
 
 	plan := fault.Plan{Seed: 606, Drop: 0.1, Reorder: 0.1, Crash: map[int]int{1: 5}}
 	be := newChaosLoopback(t, "tcp", plan)

@@ -104,13 +104,13 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // runApply applies x once through a parallel session over the given
-// backend (nil = sim) and returns the result.
-func runApply(t *testing.T, a *tensor.Symmetric, x []float64, part *partition.Tetrahedral, b int, be machine.Backend) *parallel.Result {
+// wiring and backend (nil = sim) and returns the result.
+func runApply(t *testing.T, a *tensor.Symmetric, x []float64, part *partition.Tetrahedral, b int, w parallel.Wiring, be machine.Backend) *parallel.Result {
 	t.Helper()
 	opts := parallel.Options{
 		Part:    part,
 		B:       b,
-		Wiring:  parallel.WiringP2P,
+		Wiring:  w,
 		Machine: machine.RunConfig{Timeout: 60 * time.Second, Backend: be},
 	}
 	res, err := parallel.Run(a, x, opts)
@@ -121,10 +121,16 @@ func runApply(t *testing.T, a *tensor.Symmetric, x []float64, part *partition.Te
 }
 
 // TestLoopbackParallelConformance is the acceptance gate: Algorithm 5
-// applications at q∈{2,3} over the TCP (and unix) loopback produce
-// bit-identical Y and identical logical per-phase meters to the sim
-// backend.
+// applications at q∈{2,3}, over both wirings, over the TCP (and unix)
+// loopback produce bit-identical Y and identical logical per-phase meters
+// to the sim backend.
 func TestLoopbackParallelConformance(t *testing.T) {
+	for _, w := range []parallel.Wiring{parallel.WiringP2P, parallel.WiringAllToAll} {
+		t.Run(w.String(), func(t *testing.T) { loopbackParallelConformance(t, w) })
+	}
+}
+
+func loopbackParallelConformance(t *testing.T, w parallel.Wiring) {
 	for _, q := range []int{2, 3} {
 		part := sphericalPart(t, q)
 		b := q * (q + 1)
@@ -135,9 +141,9 @@ func TestLoopbackParallelConformance(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		ref := runApply(t, a, x, part, b, nil)
+		ref := runApply(t, a, x, part, b, w, nil)
 		for _, network := range networks {
-			res := runApply(t, a, x, part, b, newLoopback(t, network))
+			res := runApply(t, a, x, part, b, w, newLoopback(t, network))
 			if !bitsEqual(res.Y, ref.Y) {
 				t.Errorf("q=%d %s: Y differs from sim", q, network)
 			}

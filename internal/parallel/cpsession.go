@@ -100,7 +100,7 @@ func OpenCPSession(op *sttsv.CPOperator, copts CPOptions) (*Session, error) {
 		part.Qi[r] = []int{r}
 	}
 
-	lay := &sessionLayout{perRank: make([]rankLayout, p), maxChunk: b}
+	lay := &sessionLayout{perRank: make([]rankLayout, p)}
 	cp := &cpOp{op: op, lo: make([]int, p), hi: make([]int, p), wk: make([][]float64, p)}
 	for r := 0; r < p; r++ {
 		lo := min(r*b, op.N)

@@ -27,11 +27,11 @@ type segment struct {
 
 func (s segment) words() int { return s.hi - s.lo }
 
-// sessStep is one rank's role in one point-to-point schedule step, with
-// segment lists for both phases: the gather phase sends the rank's own
-// chunks (gSend) and copies in the peer's chunks (gRecv); the
-// reduce-scatter phase sends the peer's chunks of the partial results
-// (sSend) and adds received partials into the rank's own chunks (sRecv).
+// sessStep is one rank's role in one exchange step, with segment lists
+// for both phases: the gather phase sends the rank's own chunks (gSend)
+// and copies in the peer's chunks (gRecv); the reduce-scatter phase sends
+// the peer's chunks of the partial results (sSend) and adds received
+// partials into the rank's own chunks (sRecv).
 type sessStep struct {
 	sendTo   int // -1 when idle
 	recvFrom int // -1 when idle
@@ -39,21 +39,10 @@ type sessStep struct {
 	gRecv    []segment
 	sSend    []segment
 	sRecv    []segment
-	// words per column of each message (exact payload sizes)
+	// words per column of each message: the exact payload under the
+	// point-to-point wiring, the fixed width (payload plus zero fill)
+	// under the All-to-All wiring
 	gSendW, gRecvW, sSendW, sRecvW int
-}
-
-// a2aPeer is one rank's precomputed exchange with one peer under the
-// All-to-All wiring: mySegs are the rank's own chunks of the shared rows
-// (gather pack / scatter unpack), peerSegs the peer's chunks (gather
-// unpack / scatter pack). Replaces the per-peer sharedRowsOf + OwnedRange
-// scans of the former runAllToAllPhase.
-type a2aPeer struct {
-	peer     int
-	mySegs   []segment
-	peerSegs []segment
-	myW      int // words per column of my chunks
-	peerW    int // words per column of the peer's chunks
 }
 
 // rankLayout is one rank's full precomputed layout.
@@ -62,8 +51,7 @@ type rankLayout struct {
 	rowIdx []int // global row block -> local k, -1 when unowned
 	myLo   []int // owned chunk bounds per local row
 	myHi   []int
-	steps  []sessStep // point-to-point wiring; nil otherwise
-	peers  []a2aPeer  // all-to-all wiring; nil otherwise
+	steps  []sessStep
 	// maxMsgW is the largest single-message word count per column this
 	// rank sends or receives — the step-buffer size.
 	maxMsgW int
@@ -71,9 +59,8 @@ type rankLayout struct {
 
 // sessionLayout is the whole machine's layout.
 type sessionLayout struct {
-	perRank  []rankLayout
-	steps    int // communication steps per exchange phase
-	maxChunk int // largest chunk width (All-to-All message sizing)
+	perRank []rankLayout
+	steps   int // communication steps per exchange phase
 }
 
 // buildLayout validates the partition and block edge of opts, builds the
@@ -108,10 +95,6 @@ func buildLayout(opts *Options) (*sessionLayout, error) {
 			rk.myLo[k], rk.myHi[k] = lo, hi
 		}
 	}
-	for i := 0; i < part.M; i++ {
-		L.maxChunk = max(L.maxChunk, intmath.CeilDiv(b, len(part.Qi[i])))
-	}
-
 	switch opts.Wiring {
 	case WiringP2P:
 		sched := opts.Sched
@@ -198,17 +181,26 @@ func buildP2PLayout(L *sessionLayout, part *partition.Tetrahedral, sched *schedu
 	return nil
 }
 
-// buildA2ALayout precomputes each rank's per-peer exchanges and rejects a
-// partition whose shared rows overflow the fixed All-to-All width.
+// buildA2ALayout realizes the All-to-All wiring as the pairwise-exchange
+// schedule of Thakur et al.: in step r of P−1, every rank sends to the rank
+// r ahead and receives from the rank r behind. Each message carries the
+// pair's shared rows (possibly none) zero-filled to the fixed width of
+// 2·maxChunk words per column that §7.2 charges; a partition whose shared
+// rows overflow that width is rejected.
 func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) error {
-	L.steps = part.P - 1
+	maxChunk := 0
+	for i := 0; i < part.M; i++ {
+		maxChunk = max(maxChunk, intmath.CeilDiv(b, len(part.Qi[i])))
+	}
+	width, P := 2*maxChunk, part.P
+	L.steps = P - 1
 	// shared[p][peer] lists R_p ∩ R_peer in R_p order — one pass over each
 	// rank's rows and their sharer lists.
-	shared := make([][][]int, part.P)
+	shared := make([][][]int, P)
 	for p := range shared {
-		shared[p] = make([][]int, part.P)
+		shared[p] = make([][]int, P)
 	}
-	for p := 0; p < part.P; p++ {
+	for p := 0; p < P; p++ {
 		for _, row := range part.Rp[p] {
 			for _, peer := range part.Qi[row] {
 				if peer != p {
@@ -217,23 +209,24 @@ func buildA2ALayout(L *sessionLayout, part *partition.Tetrahedral, b int) error 
 			}
 		}
 	}
-	for p := 0; p < part.P; p++ {
+	for p := 0; p < P; p++ {
 		rk := &L.perRank[p]
-		for peer := 0; peer < part.P; peer++ {
-			rows := shared[p][peer]
-			if peer == p || len(rows) == 0 {
-				continue
-			}
-			ap := a2aPeer{peer: peer}
+		rk.steps = make([]sessStep, L.steps)
+		rk.maxMsgW = width
+		for si := range rk.steps {
+			st := &rk.steps[si]
+			st.sendTo, st.recvFrom = (p+si+1)%P, (p-si-1+P)%P
+			st.gSendW, st.gRecvW, st.sSendW, st.sRecvW = width, width, width, width
 			// Both owners hold every shared row, so segsFor cannot fail.
-			ap.mySegs, ap.myW, _ = segsFor(part, rk, p, rows, b)
-			ap.peerSegs, ap.peerW, _ = segsFor(part, rk, peer, rows, b)
-			if ap.myW > 2*L.maxChunk || ap.peerW > 2*L.maxChunk {
+			var myW, peerW int
+			st.gSend, myW, _ = segsFor(part, rk, p, shared[p][st.sendTo], b)
+			st.sSend, peerW, _ = segsFor(part, rk, st.sendTo, shared[p][st.sendTo], b)
+			if myW > width || peerW > width {
 				return fmt.Errorf("parallel: rank %d shares %d+%d words with rank %d, exceeding All-to-All width %d",
-					p, ap.myW, ap.peerW, peer, 2*L.maxChunk)
+					p, myW, peerW, st.sendTo, width)
 			}
-			rk.peers = append(rk.peers, ap)
-			rk.maxMsgW = max(rk.maxMsgW, ap.myW, ap.peerW)
+			st.gRecv, _, _ = segsFor(part, rk, st.recvFrom, shared[p][st.recvFrom], b)
+			st.sRecv, _, _ = segsFor(part, rk, p, shared[p][st.recvFrom], b)
 		}
 	}
 	return nil

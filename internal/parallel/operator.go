@@ -24,9 +24,6 @@ type localOperator interface {
 // exchangeOp is Algorithm 5's step: gather x over the session's wiring,
 // apply the rank's tetrahedral block set, reduce-scatter y.
 type exchangeOp struct {
-	// exchange runs one of the two vector exchanges (gather when gather
-	// is set, reduce-scatter otherwise) over the wiring chosen at open.
-	exchange func(rk *sessionRank, c *machine.Comm, cols int, gather bool)
 	// contribute runs rank me's local compute for cols columns, reading
 	// x row blocks and accumulating y row blocks through the rank's arena
 	// accessors, and returns the ternary-multiplication count.
@@ -36,22 +33,10 @@ type exchangeOp struct {
 func (o *exchangeOp) phases() []string { return []string{"gather", "local", "reduce-scatter"} }
 
 func (o *exchangeOp) step(me int, rk *sessionRank, c *machine.Comm, pr *phaseRecorder, cols int) {
-	pr.comm(c, "gather", func() { o.exchange(rk, c, cols, true) })
+	pr.comm(c, "gather", func() { rk.exchange(c, cols, true) })
 	rk.zeroY()
 	pr.local(c, "local", func() int64 { return o.contribute(me, rk, cols) })
-	pr.comm(c, "reduce-scatter", func() { o.exchange(rk, c, cols, false) })
-}
-
-// newExchangeOp wires contribute into Algorithm 5's step over the layout's
-// wiring.
-func newExchangeOp(w Wiring, lay *sessionLayout, contribute func(me int, rk *sessionRank, cols int) int64) *exchangeOp {
-	o := &exchangeOp{exchange: (*sessionRank).exchangeP2P, contribute: contribute}
-	if w == WiringAllToAll {
-		o.exchange = func(rk *sessionRank, _ *machine.Comm, cols int, gather bool) {
-			rk.exchangeA2A(lay.maxChunk, cols, gather)
-		}
-	}
-	return o
+	pr.comm(c, "reduce-scatter", func() { rk.exchange(c, cols, false) })
 }
 
 // denseContribute applies a rank's dense packed block set through the

@@ -24,6 +24,11 @@
 //     term (§7.2.2, "Communication cost of our algorithm with All-to-All
 //     collectives").
 //
+// Both wirings are layout data for one exchange loop: each step is a BSP
+// superstep (post the step's send, cross the barrier, drain the step's
+// receive). The All-to-All runs as the P−1-step pairwise exchange, every
+// message zero-filled to its fixed width.
+//
 // RunRowBaseline implements the natural 1D row partition (all-gather x,
 // reduce-scatter y): Θ(n) words per processor versus Θ(n/P^{1/3}) for
 // Algorithm 5.
@@ -47,7 +52,10 @@ const (
 	// optimal, q³/2+3q²/2−1 steps for the spherical family).
 	WiringP2P Wiring = iota
 	// WiringAllToAll uses fixed-width All-to-All collectives (P−1 steps,
-	// 2× the optimal bandwidth) as written in Algorithm 5's pseudocode.
+	// 2× the optimal bandwidth) as written in Algorithm 5's pseudocode,
+	// run as the pairwise exchange: in step r every rank sends 2·maxChunk
+	// words per column to the rank r ahead, whether or not the pair
+	// shares a row.
 	WiringAllToAll
 )
 

@@ -151,6 +151,14 @@ func TestAlg5AllToAllCostsTwice(t *testing.T) {
 			if gather.SentWords[r] != perVector {
 				t.Fatalf("q=%d rank %d: gather sent %d, want %d", q, r, gather.SentWords[r], perVector)
 			}
+			// One fixed-width message to and from every peer per phase,
+			// including peers that share no row.
+			for _, m := range []*PhaseMeter{gather, scatter} {
+				if m.SentMsgs[r] != int64(part.P-1) || m.RecvMsgs[r] != int64(part.P-1) {
+					t.Fatalf("q=%d rank %d %s: %d sent / %d received messages, want P-1 = %d each",
+						q, r, m.Label, m.SentMsgs[r], m.RecvMsgs[r], part.P-1)
+				}
+			}
 		}
 		total := float64(gather.SentWords[0] + scatter.SentWords[0])
 		if want := costmodel.AllToAllWords(n, q); math.Abs(total-want) > 1e-9 {

@@ -56,8 +56,8 @@ func NewRankEngine(a *tensor.Symmetric, opts Options, rank int) (*RankEngine, er
 	blocks := &RankBlocks{P: part.P, B: b, N: a.N, per: make([]*tensor.BlockPacked, part.P)}
 	blocks.per[rank] = packRank(a, part, b, rank)
 	rk := &sessionRank{lay: &lay.perRank[rank], b: b, scratch: sttsv.NewScratch()}
-	rk.grow(1, 0, 0)
-	op := newExchangeOp(WiringP2P, lay, denseContribute(opts.executor(), blocks))
+	rk.grow(1)
+	op := &exchangeOp{contribute: denseContribute(opts.executor(), blocks)}
 	return &RankEngine{
 		rank:   rank,
 		n:      a.N,

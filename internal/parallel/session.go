@@ -88,14 +88,6 @@ type sessionRank struct {
 	sendBuf []float64 // one message, reused across steps (Send copies)
 	recvBuf []float64
 
-	// All-to-All wiring: full-width per-peer buffers (tails stay zero —
-	// the collective's padding) plus the reusable width-resliced views.
-	a2aSendBack [][]float64
-	a2aRecvBack [][]float64
-	a2aSend     [][]float64
-	a2aRecv     [][]float64
-	a2aPay      []int // high-water payload per peer, for stale-tail zeroing
-
 	scratch *sttsv.Scratch
 	world   *collective.Group
 	pbuf    [2]float64
@@ -147,7 +139,7 @@ func OpenSession(a *tensor.Symmetric, opts Options) (*Session, error) {
 		b:      b,
 		padded: part.M * b,
 		n:      n,
-		op:     newExchangeOp(opts.Wiring, lay, contribute),
+		op:     &exchangeOp{contribute: contribute},
 		lay:    lay,
 	}
 	return s.start()
@@ -185,12 +177,8 @@ func (s *Session) grow(maxCols int) {
 			s.rk[p] = &sessionRank{lay: &s.lay.perRank[p], b: s.b, scratch: sttsv.NewScratch()}
 		}
 	}
-	a2aPeers := 0
-	if s.opts.Wiring == WiringAllToAll {
-		a2aPeers = s.part.P
-	}
 	for _, rk := range s.rk {
-		rk.grow(maxCols, a2aPeers, 2*s.lay.maxChunk*maxCols)
+		rk.grow(maxCols)
 	}
 	s.stageX = make([][]float64, maxCols)
 	s.stageY = make([][]float64, maxCols)
@@ -206,9 +194,8 @@ func (s *Session) grow(maxCols int) {
 }
 
 // grow (re)allocates the rank's arenas and message buffers for maxCols
-// columns, plus a2aWidth-word buffers for each of a2aPeers All-to-All
-// peers (none under the point-to-point wiring).
-func (rk *sessionRank) grow(maxCols, a2aPeers, a2aWidth int) {
+// columns.
+func (rk *sessionRank) grow(maxCols int) {
 	rk.maxCols = maxCols
 	rows := len(rk.lay.rows)
 	rk.xA = make([]float64, rows*maxCols*rk.b)
@@ -217,17 +204,6 @@ func (rk *sessionRank) grow(maxCols, a2aPeers, a2aWidth int) {
 	if rk.lay.maxMsgW > 0 {
 		rk.sendBuf = make([]float64, rk.lay.maxMsgW*maxCols)
 		rk.recvBuf = make([]float64, rk.lay.maxMsgW*maxCols)
-	}
-	if a2aPeers > 0 {
-		rk.a2aSendBack = make([][]float64, a2aPeers)
-		rk.a2aRecvBack = make([][]float64, a2aPeers)
-		rk.a2aSend = make([][]float64, a2aPeers)
-		rk.a2aRecv = make([][]float64, a2aPeers)
-		rk.a2aPay = make([]int, a2aPeers)
-		for i := 0; i < a2aPeers; i++ {
-			rk.a2aSendBack[i] = make([]float64, a2aWidth)
-			rk.a2aRecvBack[i] = make([]float64, a2aWidth)
-		}
 	}
 }
 
@@ -316,30 +292,33 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 	}
 }
 
-// exchangeP2P runs one of the step's two vector exchanges over the
-// point-to-point schedule: gather copies the peers' chunks of the owned x
-// rows in; reduce-scatter adds the peers' partials into the owned y
-// chunks. Each schedule step is a BSP superstep: post the step's send,
-// cross the barrier, then drain the step's receive. A message posted in a
-// step has been delivered by the time that step's barrier opens, so on
-// the direct transport the receive finds it waiting and a rank parks once
-// per step (at the barrier) instead of once more for a sender that has
-// not run yet. A step's receive still precedes the next step's send, so
-// the data each rank forwards is what the schedule expects.
-func (rk *sessionRank) exchangeP2P(c *machine.Comm, cols int, gather bool) {
+// exchange runs one of the step's two vector exchanges over the layout's
+// steps: gather copies the peers' chunks of the owned x rows in;
+// reduce-scatter adds the peers' partials into the owned y chunks. Both
+// wirings run through it: the point-to-point schedule sends exact
+// payloads, the All-to-All's pairwise steps zero-fill every message to the
+// fixed width. Each step is a BSP superstep: post the step's send, cross
+// the barrier, then drain the step's receive. A message posted in a step
+// has been delivered by the time that step's barrier opens, so on the
+// direct transport the receive finds it waiting and a rank parks once per
+// step (at the barrier) instead of once more for a sender that has not run
+// yet. A step's receive still precedes the next step's send, so the data
+// each rank forwards is what the schedule expects.
+func (rk *sessionRank) exchange(c *machine.Comm, cols int, gather bool) {
 	arena, tag := rk.xA, 100
 	if !gather {
 		arena, tag = rk.yA, 200
 	}
 	for si := range rk.lay.steps {
 		st := &rk.lay.steps[si]
-		sendSegs, recvSegs, recvW := st.gSend, st.gRecv, st.gRecvW
+		sendSegs, sendW, recvSegs, recvW := st.gSend, st.gSendW, st.gRecv, st.gRecvW
 		if !gather {
-			sendSegs, recvSegs, recvW = st.sSend, st.sRecv, st.sRecvW
+			sendSegs, sendW, recvSegs, recvW = st.sSend, st.sSendW, st.sRecv, st.sRecvW
 		}
 		if st.sendTo >= 0 {
-			n := rk.pack(rk.sendBuf, arena, sendSegs, cols)
-			c.Send(st.sendTo, tag+si, rk.sendBuf[:n])
+			n, w := rk.pack(rk.sendBuf, arena, sendSegs, cols), sendW*cols
+			clear(rk.sendBuf[n:w]) // All-to-All padding; empty under P2P
+			c.Send(st.sendTo, tag+si, rk.sendBuf[:w])
 		}
 		c.Barrier() // stepwise semantics of §7.2
 		if st.recvFrom >= 0 {
@@ -350,48 +329,6 @@ func (rk *sessionRank) exchangeP2P(c *machine.Comm, cols int, gather bool) {
 			} else {
 				rk.unpackAdd(rk.recvBuf[:w], arena, recvSegs, cols)
 			}
-		}
-	}
-}
-
-// exchangeA2A runs one phase over the fixed-width All-to-All collective.
-// gather selects direction: pack my chunks / copy in the peer's for the
-// gather phase; pack the peer's chunks / add into mine for reduce-scatter.
-func (rk *sessionRank) exchangeA2A(maxChunk, cols int, gather bool) {
-	width := 2 * maxChunk * cols
-	tag := 2
-	if gather {
-		tag = 1
-	}
-	for i := range rk.a2aSend {
-		rk.a2aSend[i] = rk.a2aSendBack[i][:width]
-		rk.a2aRecv[i] = rk.a2aRecvBack[i][:width]
-	}
-	arena := rk.xA
-	if !gather {
-		arena = rk.yA
-	}
-	for pi := range rk.lay.peers {
-		ap := &rk.lay.peers[pi]
-		segs := ap.mySegs
-		if !gather {
-			segs = ap.peerSegs
-		}
-		n := rk.pack(rk.a2aSend[ap.peer], arena, segs, cols)
-		// Keep the padding invariant: words past the payload must be zero,
-		// exactly as the seed's freshly allocated padded buffers were.
-		if rk.a2aPay[ap.peer] > n {
-			clear(rk.a2aSend[ap.peer][n:rk.a2aPay[ap.peer]])
-		}
-		rk.a2aPay[ap.peer] = n
-	}
-	rk.world.AllToAllFixedInto(tag, width, rk.a2aSend, rk.a2aRecv)
-	for pi := range rk.lay.peers {
-		ap := &rk.lay.peers[pi]
-		if gather {
-			rk.unpackCopy(rk.a2aRecv[ap.peer], rk.xA, ap.peerSegs, cols)
-		} else {
-			rk.unpackAdd(rk.a2aRecv[ap.peer], rk.yA, ap.mySegs, cols)
 		}
 	}
 }

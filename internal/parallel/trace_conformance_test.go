@@ -43,10 +43,9 @@ func checkTraceMatchesPhases(t *testing.T, tr *obs.Trace, phases []PhaseMeter, p
 					m.Label, r, pt.Ternary[r], m.Ternary[r])
 			}
 		}
-		// The trace counts barrier generations; only the stepwise P2P
-		// schedule barriers per step, so compare only when the phase
-		// synchronized at all (All-to-All collectives run barrier-free).
-		if pt.Steps > 0 && m.Steps > 0 && pt.Steps != m.Steps {
+		// The trace counts barrier generations; both wirings cross one
+		// barrier per exchange step.
+		if pt.Steps != m.Steps {
 			t.Errorf("phase %q: trace counts %d steps, meter %d", m.Label, pt.Steps, m.Steps)
 		}
 	}
@@ -121,40 +120,51 @@ func TestTraceConformanceP2P(t *testing.T) {
 }
 
 // TestTraceConformanceAllToAll repeats the invariant under the All-to-All
-// wiring: P−1 steps per phase and phase meters that match the trace.
+// wiring: each phase replays P−1 barrier steps, and at γ=0 a phase replays
+// to exactly the fixed-width All-to-All makespan (P−1)(α + 2·maxChunk·β).
 func TestTraceConformanceAllToAll(t *testing.T) {
-	q := 2
-	part := sphericalPart(t, q)
-	b := q * (q + 1)
-	n := part.M * b
-	x := make([]float64, n)
-	var rec obs.Recorder
-	res, err := Run(nil, x, Options{
-		Part: part, B: b, Wiring: WiringAllToAll,
-		Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Trace()
-	if err := tr.CheckAgainstReport(res.Report); err != nil {
-		t.Fatal(err)
-	}
-	checkTraceMatchesPhases(t, tr, res.Phases, part.P)
-
-	// The All-to-All wiring synchronizes nowhere inside a phase, so the
-	// replay observes zero barrier steps; the nominal P−1 lives on the
-	// meter instead.
-	tl, err := obs.Replay(tr, obs.DefaultTimeModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, label := range []string{"gather", "reduce-scatter"} {
-		if tl.PhaseSteps[label] != 0 {
-			t.Errorf("phase %q: replay observed %d barrier steps in a barrier-free wiring", label, tl.PhaseSteps[label])
+	for _, q := range []int{2, 3} {
+		part := sphericalPart(t, q)
+		b := q * (q + 1)
+		n := part.M * b
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i%5) - 2
 		}
-		if m := res.Phase(label); m == nil || m.Steps != part.P-1 {
-			t.Errorf("phase %q: meter steps = %+v, want P-1 = %d", label, m, part.P-1)
+		var rec obs.Recorder
+		res, err := Run(nil, x, Options{
+			Part: part, B: b, Wiring: WiringAllToAll,
+			Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := rec.Trace()
+		if err := tr.CheckAgainstReport(res.Report); err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		checkTraceMatchesPhases(t, tr, res.Phases, part.P)
+
+		model := obs.TimeModel{Alpha: 1e-5, Beta: 1e-8, Gamma: 0}
+		tl, err := obs.Replay(tr, model)
+		if err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+		maxChunk := 0
+		for _, sharers := range part.Qi {
+			maxChunk = max(maxChunk, (b+len(sharers)-1)/len(sharers))
+		}
+		want := schedule.AllToAllMakespan(part.P, 2*maxChunk, model.Alpha, model.Beta)
+		for _, label := range []string{"gather", "reduce-scatter"} {
+			if tl.PhaseSteps[label] != part.P-1 {
+				t.Errorf("q=%d phase %q: replay counts %d steps, want P-1 = %d", q, label, tl.PhaseSteps[label], part.P-1)
+			}
+			if m := res.Phase(label); m == nil || m.Steps != part.P-1 {
+				t.Errorf("q=%d phase %q: meter steps = %+v, want P-1 = %d", q, label, m, part.P-1)
+			}
+			if got := tl.PhaseTime(label); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("q=%d phase %q: replay time %g, All-to-All makespan %g", q, label, got, want)
+			}
 		}
 	}
 }
