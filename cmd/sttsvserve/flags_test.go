@@ -35,6 +35,22 @@ func serveCommand(ctx context.Context, args string) *exec.Cmd {
 	return exec.CommandContext(ctx, os.Args[0], argv...)
 }
 
+// checkFlagError runs the command with args and wants exit status 2 with
+// cause named on standard error.
+func checkFlagError(t *testing.T, args, cause string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := serveCommand(ctx, "-addr 127.0.0.1:0 "+args)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), cause) {
+		t.Errorf("%s: %v, stderr %q; want exit status 2 naming %s", args, err, stderr.String(), cause)
+	}
+}
+
 // TestNonPositivePoolFlagsAreFlagErrors: the serving pool replaces a
 // non-positive session count, batch width or batching delay with its
 // default, so a server started with one reported the zero on /v1/info
@@ -46,33 +62,37 @@ func TestNonPositivePoolFlagsAreFlagErrors(t *testing.T) {
 		{"-maxcols -1", "-maxcols"},
 		{"-maxwait 0s", "-maxwait"},
 	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		cmd := serveCommand(ctx, "-addr 127.0.0.1:0 "+tc.args)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		cancel()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), tc.flag) {
-			t.Errorf("%s: %v, stderr %q; want exit status 2 naming %s", tc.args, err, stderr.String(), tc.flag)
-		}
+		checkFlagError(t, tc.args, tc.flag)
+	}
+}
+
+// TestCommandLineErrorsExitTwo: every other bad command line also exits
+// with status 2, naming its cause, before anything is served, so a script
+// can tell it from a server that failed to start (status 1).
+func TestCommandLineErrorsExitTwo(t *testing.T) {
+	for _, tc := range []struct{ args, cause string }{
+		{"-backend bogus", "bogus"},
+		{"-metrics-interval 1s", "-metrics-interval"},
+		{"-wiring ring", "ring"},
+		{"-workload tucker", "tucker"},
+		{"-workload dense -n 10", "-n"},
+		{"-q 6", "-q"},
+		{"-b 0", "-b"},
+		{"-b -1", "-b"},
+	} {
+		checkFlagError(t, tc.args, tc.cause)
 	}
 }
 
 // TestInfoReportsThePoolItRuns starts a server with the default queue
 // bound (-queue 0) and checks that /v1/info reports the pool the
 // /v1/metrics snapshot shows running, and the default bound 4 × sessions
-// × maxcols.
+// × maxcols. The server binds -addr 127.0.0.1:0 before its banner, so the
+// banner names the bound port and a request sent after it is served.
 func TestInfoReportsThePoolItRuns(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cmd := serveCommand(ctx, "-addr "+addr+" -sessions 1 -maxcols 3 -maxwait 700us -queue 0")
+	cmd := serveCommand(ctx, "-addr 127.0.0.1:0 -sessions 1 -maxcols 3 -maxwait 700us -queue 0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -84,21 +104,21 @@ func TestInfoReportsThePoolItRuns(t *testing.T) {
 		cancel()
 		_ = cmd.Wait()
 	}()
-	for sc := bufio.NewScanner(stdout); !strings.Contains(sc.Text(), "listening on"); {
+	const banner = "listening on "
+	sc := bufio.NewScanner(stdout)
+	for !strings.Contains(sc.Text(), banner) {
 		if !sc.Scan() {
 			t.Fatalf("server exited before listening: %v", sc.Err())
 		}
 	}
+	addr := sc.Text()[strings.LastIndex(sc.Text(), banner)+len(banner):]
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+		t.Fatalf("banner %q names %q, want the bound address", sc.Text(), addr)
+	}
 
 	get := func(path string, v any) {
 		t.Helper()
-		// The banner precedes the listen, so the first request may
-		// arrive before the socket is open.
 		resp, err := http.Get("http://" + addr + path)
-		for tries := 0; err != nil && tries < 100; tries++ {
-			time.Sleep(50 * time.Millisecond)
-			resp, err = http.Get("http://" + addr + path)
-		}
 		if err != nil {
 			t.Fatal(err)
 		}

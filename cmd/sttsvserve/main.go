@@ -33,6 +33,10 @@
 // wrong-length x answers 400, a body too large for n floats 413, and a
 // failed batch 500. On SIGINT/SIGTERM the server stops admitting, drains
 // every queued request, and exits.
+//
+// The "listening on" banner is printed once the socket is bound, and names
+// the bound address (with -addr :0, the port the system chose). A bad
+// command line exits with status 2, a server that fails to start with 1.
 package main
 
 import (
@@ -43,6 +47,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -109,10 +114,9 @@ const (
 	readTimeout       = time.Minute
 )
 
-// newHTTPServer is the server's HTTP front end on addr, with its read
-// deadlines.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
+// newHTTPServer is the server's HTTP front end, with its read deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }
 
 // maxApplyBody bounds an /v1/apply body for serving dimension n: room for
@@ -222,9 +226,17 @@ func (s *server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.info)
 }
 
+// fatal reports a server that failed to start or stop, and exits 1.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sttsvserve:", err)
 	os.Exit(1)
+}
+
+// flagError reports a bad command line and exits 2, as the flag package
+// does, so a script can tell it from a failed start.
+func flagError(err error) {
+	fmt.Fprintln(os.Stderr, "sttsvserve:", err)
+	os.Exit(2)
 }
 
 // checkPoolFlags rejects pool sizes the serving pool would silently
@@ -262,19 +274,13 @@ func main() {
 	backend := backendflag.Register(flag.CommandLine)
 	flag.Parse()
 	if err := backend.Validate(false); err != nil {
-		fatal(err)
+		flagError(err)
 	}
 	if err := checkPoolFlags(*sessions, *maxCols, *maxWait); err != nil {
-		fmt.Fprintln(os.Stderr, "sttsvserve:", err)
-		os.Exit(2) // a bad flag value, as the flag package exits
+		flagError(err)
 	}
 	if *metricsInterval > 0 && *metricsOut == "" {
-		fatal(fmt.Errorf("-metrics-interval requires -metrics"))
-	}
-
-	part, err := partition.NewSpherical(*q)
-	if err != nil {
-		fatal(err)
+		flagError(fmt.Errorf("-metrics-interval requires -metrics"))
 	}
 	wr := parallel.WiringP2P
 	switch *wiring {
@@ -282,13 +288,26 @@ func main() {
 	case "alltoall":
 		wr = parallel.WiringAllToAll
 	default:
-		fatal(fmt.Errorf("unknown wiring %q", *wiring))
+		flagError(fmt.Errorf("unknown wiring %q", *wiring))
+	}
+	switch *workload {
+	case "dense", "hypergraph", "cp":
+	default:
+		flagError(fmt.Errorf("unknown workload %q", *workload))
+	}
+	if *nFlag > 0 && *workload == "dense" {
+		flagError(fmt.Errorf("-n applies to -workload hypergraph|cp only (dense: n = m·b)"))
+	}
+	if *b < 1 {
+		flagError(fmt.Errorf("-b %d: must be positive", *b))
+	}
+
+	part, err := partition.NewSpherical(*q)
+	if err != nil {
+		flagError(fmt.Errorf("-q %d: %w", *q, err))
 	}
 	n := part.M * *b
 	if *nFlag > 0 {
-		if *workload == "dense" {
-			fatal(fmt.Errorf("-n applies to -workload hypergraph|cp only (dense: n = m·b)"))
-		}
 		n = *nFlag
 		// Derive the block edge covering n on the chosen partition.
 		*b = (n + part.M - 1) / part.M
@@ -315,9 +334,6 @@ func main() {
 	}
 	var pool *serve.Pool
 	switch *workload {
-	case "dense":
-		rng := rand.New(rand.NewSource(*seed))
-		pool, err = serve.Open(tensor.Random(n, rng), poolOpts)
 	case "hypergraph":
 		e := *edges
 		if e < 1 {
@@ -350,8 +366,9 @@ func main() {
 		info.Rank = *cpRank
 		info.P = *cpRanks
 		pool, err = serve.OpenCP(op, *cpRanks, poolOpts)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *workload))
+	default: // dense
+		rng := rand.New(rand.NewSource(*seed))
+		pool, err = serve.Open(tensor.Random(n, rng), poolOpts)
 	}
 	if err != nil {
 		fatal(err)
@@ -362,7 +379,13 @@ func main() {
 	mux.HandleFunc("/v1/apply", srv.handleApply)
 	mux.HandleFunc("/v1/metrics", srv.handleMetrics)
 	mux.HandleFunc("/v1/info", srv.handleInfo)
-	hs := newHTTPServer(*addr, mux)
+	hs := newHTTPServer(mux)
+	// Bind before the banner, so a client that waits for it is never
+	// refused, and the banner shows the bound port of -addr :0.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -404,15 +427,15 @@ func main() {
 	switch *workload {
 	case "cp":
 		fmt.Printf("sttsvserve: cp n=%d r=%d (P=%d), %d sessions, batch ≤%d cols / %v, listening on %s\n",
-			n, *cpRank, *cpRanks, *sessions, *maxCols, *maxWait, *addr)
+			n, *cpRank, *cpRanks, *sessions, *maxCols, *maxWait, ln.Addr())
 	case "hypergraph":
 		fmt.Printf("sttsvserve: hypergraph n=%d nnz=%d (q=%d, P=%d, b=%d, %s), %d sessions, batch ≤%d cols / %v, listening on %s\n",
-			n, info.NNZ, *q, part.P, *b, *wiring, *sessions, *maxCols, *maxWait, *addr)
+			n, info.NNZ, *q, part.P, *b, *wiring, *sessions, *maxCols, *maxWait, ln.Addr())
 	default:
 		fmt.Printf("sttsvserve: n=%d (q=%d, P=%d, b=%d, %s), %d sessions, batch ≤%d cols / %v, listening on %s\n",
-			n, *q, part.P, *b, *wiring, *sessions, *maxCols, *maxWait, *addr)
+			n, *q, part.P, *b, *wiring, *sessions, *maxCols, *maxWait, ln.Addr())
 	}
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
 	<-done

@@ -175,7 +175,7 @@ func TestApplyOversizedBodyIsRejected(t *testing.T) {
 // TestHTTPServerHasReadDeadlines: the front end must bound how long a
 // client may take to send its headers and its body.
 func TestHTTPServerHasReadDeadlines(t *testing.T) {
-	hs := newHTTPServer(":0", http.NewServeMux())
+	hs := newHTTPServer(http.NewServeMux())
 	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout %v, ReadTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.ReadTimeout)
 	}

@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/partition"
 	"repro/internal/tensor"
@@ -28,6 +30,12 @@ type RankBlocks struct {
 
 // PackRankBlocks extracts every rank's block set. A nil tensor yields zero
 // blocks (pure communication measurements).
+//
+// The ranks are independent, so they are packed concurrently: ranks are
+// dealt round-robin to min(GOMAXPROCS, P) goroutines, each of which writes
+// only its own ranks' entries and reads the tensor and partition. Every
+// rank's packed words are the same whatever the worker count, and the call
+// returns only after every goroutine has finished.
 func PackRankBlocks(a *tensor.Symmetric, part *partition.Tetrahedral, b int) (*RankBlocks, error) {
 	if part == nil {
 		return nil, fmt.Errorf("parallel: nil partition")
@@ -39,9 +47,18 @@ func PackRankBlocks(a *tensor.Symmetric, part *partition.Tetrahedral, b int) (*R
 	if a != nil {
 		rb.N = a.N
 	}
-	for p := 0; p < part.P; p++ {
-		rb.per[p] = packRank(a, part, b, p)
+	workers := min(runtime.GOMAXPROCS(0), part.P)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for p := w; p < part.P; p += workers {
+				rb.per[p] = packRank(a, part, b, p)
+			}
+		}(w)
 	}
+	wg.Wait()
 	return rb, nil
 }
 

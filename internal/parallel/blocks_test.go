@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/intmath"
 	"repro/internal/la"
 	"repro/internal/sttsv"
 	"repro/internal/tensor"
@@ -176,6 +177,66 @@ func TestMTTKRPWithCachedBlocks(t *testing.T) {
 			if d := math.Abs(plain.At(i, l) - cached.At(i, l)); d > tol {
 				t.Fatalf("Y[%d,%d] differs by %g", i, l, d)
 			}
+		}
+	}
+}
+
+// TestPackRankBlocksCoversTensorOnce: across all ranks' packed blocks,
+// every word of the packed lower tetrahedron appears exactly once and every
+// other stored word is padding. The tensor holds Data[x] = x+1, so a
+// nonzero packed value names the tetrahedron index it came from. Run under
+// -race it also covers the concurrent pack.
+func TestPackRankBlocksCoversTensorOnce(t *testing.T) {
+	for _, c := range []struct{ q, b int }{{2, 3}, {3, 2}} {
+		part := sphericalPart(t, c.q)
+		n := part.M*c.b - 1 // not a multiple of b: the last row block is padded
+		a := tensor.NewSymmetric(n)
+		for x := range a.Data {
+			a.Data[x] = float64(x + 1)
+		}
+		rb, err := PackRankBlocks(a, part, c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]int, len(a.Data))
+		padding := 0
+		for p := 0; p < part.P; p++ {
+			for _, blk := range rb.Rank(p) {
+				for _, v := range blk.Data {
+					if v == 0 {
+						padding++
+						continue
+					}
+					seen[int(v)-1]++
+				}
+			}
+		}
+		for x, cnt := range seen {
+			if cnt != 1 {
+				t.Fatalf("q=%d b=%d n=%d: packed index %d appears %d times across ranks, want once", c.q, c.b, n, x, cnt)
+			}
+		}
+		if want := intmath.Tetrahedral(part.M*c.b) - len(a.Data); padding != want {
+			t.Fatalf("q=%d b=%d n=%d: %d padding words, want %d", c.q, c.b, n, padding, want)
+		}
+		if rb.Words() != intmath.Tetrahedral(part.M*c.b) {
+			t.Fatalf("q=%d b=%d: %d packed words, want %d", c.q, c.b, rb.Words(), intmath.Tetrahedral(part.M*c.b))
+		}
+	}
+}
+
+// BenchmarkPackRankBlocks times packing every rank's block set at q = 3,
+// b = 16 (n = 160, P = 30): the O(n³) step of setting up a run, a session
+// or a serving pool.
+func BenchmarkPackRankBlocks(b *testing.B) {
+	part := sphericalPart(b, 3)
+	const blockEdge = 16
+	a := tensor.Random(part.M*blockEdge, rand.New(rand.NewSource(93)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PackRankBlocks(a, part, blockEdge); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -168,20 +168,41 @@ func (blk *Block) GlobalIndices(di, dj, dk int) (i, j, k int) {
 
 // fillBlock overwrites every stored entry of blk with the corresponding
 // value of t (zero where the global indices fall in the padding region).
-// The stored entries of any valid block are sorted global triples — the
-// block coordinates satisfy I >= J >= K and the kind-specific local
-// ordering keeps i >= j >= k — so no per-element sorting is needed.
+//
+// It copies one row run at a time. The stored entries of any valid block
+// are sorted global triples — the block coordinates satisfy I >= J >= K and
+// the kind-specific local ordering keeps i >= j >= k — so the entries that
+// share (di, dj) are a run of consecutive k starting at K·b, and that run is
+// contiguous in packed lower-tetrahedron storage from
+// PackedIndex(i, j, K·b). The run is b long for the off-diagonal and
+// diag-pair-high kinds and dj+1 long for the diag-pair-low and central
+// kinds. Because k <= j <= i, a row is either wholly inside the tensor
+// (i < t.N) or wholly padding, which is cleared.
 func fillBlock(blk *Block, t *Symmetric) {
-	idx := 0
-	blk.ForEach(func(di, dj, dk int, _ float64) {
-		i, j, k := blk.GlobalIndices(di, dj, dk)
-		v := 0.0
-		if i < t.N && j < t.N && k < t.N {
-			v = t.Data[PackedIndex(i, j, k)]
+	b := blk.B
+	i0, j0, k0 := blk.I*b, blk.J*b, blk.K*b
+	triJ := blk.Kind == DiagPairHigh || blk.Kind == Central // dj <= di
+	triK := blk.Kind == DiagPairLow || blk.Kind == Central  // dk <= dj
+	dst := blk.Data
+	for di := 0; di < b; di++ {
+		i := i0 + di
+		rows := b
+		if triJ {
+			rows = di + 1
 		}
-		blk.Data[idx] = v
-		idx++
-	})
+		for dj := 0; dj < rows; dj++ {
+			l := b
+			if triK {
+				l = dj + 1
+			}
+			if i < t.N {
+				copy(dst[:l], t.Data[PackedIndex(i, j0+dj, k0):])
+			} else {
+				clear(dst[:l])
+			}
+			dst = dst[l:]
+		}
+	}
 }
 
 // ExtractBlock copies block (I, J, K) of edge b out of a packed symmetric

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -167,6 +169,60 @@ func TestBlockKindString(t *testing.T) {
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("%d: %q != %q", int(k), got, want)
+		}
+	}
+}
+
+// checkBlockAgainstTensor compares every stored entry of blk with the
+// tensor it was filled from: a.At of the entry's global indices, or 0 when
+// any of them falls in the padding. The entries are enumerated by ForEach
+// and Block.At, not by the fill under test.
+func checkBlockAgainstTensor(t *testing.T, what string, blk *Block, a *Symmetric) {
+	t.Helper()
+	if len(blk.Data) != BlockLen(blk.Kind, blk.B) {
+		t.Fatalf("%s: %d stored values, want %d", what, len(blk.Data), BlockLen(blk.Kind, blk.B))
+	}
+	blk.ForEach(func(di, dj, dk int, v float64) {
+		i, j, k := blk.GlobalIndices(di, dj, dk)
+		want := 0.0
+		if i < a.N && j < a.N && k < a.N {
+			want = a.At(i, j, k)
+		}
+		if v != want || blk.At(di, dj, dk) != want {
+			t.Fatalf("%s local (%d,%d,%d) global (%d,%d,%d): %g, want %g",
+				what, di, dj, dk, i, j, k, v, want)
+		}
+	})
+}
+
+// TestFillMatchesTensorOracle pins the block fill shared by ExtractBlock,
+// ExtractBlockInto and PackTetrahedron against the tensor itself, for all
+// four block kinds, block edges that do and do not divide n, and every
+// block of a grid one block larger than the padded cover of n — so blocks
+// that are partly or wholly padding are filled too.
+func TestFillMatchesTensorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 7, 10, 13} {
+		a := Random(n, rng)
+		for _, b := range []int{1, 2, 3, 5} {
+			m := (n+b-1)/b + 1
+			bp := PackTetrahedron(a, m, b)
+			scratch := &Block{Data: make([]float64, 0, b*b*b)}
+			kinds := map[BlockKind]bool{}
+			BlocksOfTetrahedron(m, func(I, J, K int) {
+				kinds[KindOfBlock(I, J, K)] = true
+				name := fmt.Sprintf("n=%d b=%d block (%d,%d,%d)", n, b, I, J, K)
+				checkBlockAgainstTensor(t, name+" ExtractBlock", ExtractBlock(a, I, J, K, b), a)
+				checkBlockAgainstTensor(t, name+" PackTetrahedron", bp.At(I, J, K), a)
+				dirty := scratch.Data[:cap(scratch.Data)]
+				for x := range dirty {
+					dirty[x] = math.NaN()
+				}
+				checkBlockAgainstTensor(t, name+" ExtractBlockInto", ExtractBlockInto(scratch, a, I, J, K, b), a)
+			})
+			if m >= 3 && len(kinds) != 4 {
+				t.Fatalf("n=%d b=%d: saw kinds %v, want all four", n, b, kinds)
+			}
 		}
 	}
 }
