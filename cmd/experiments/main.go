@@ -82,7 +82,7 @@ func main() {
 }
 
 // timelineExp (E11) traces fault-free Algorithm 5 runs, replays them on
-// the simulated α-β clock, and checks the observed barrier-step count and
+// the simulated α-β clock, and checks the stamped step count and
 // phase time against the closed-form schedule-length formulas: the P2P
 // wiring's q³/2+3q²/2−1 steps replaying to Σ(α + maxWords·β), and the
 // All-to-All wiring's P−1 pairwise steps of fixed width W = 2·maxChunk

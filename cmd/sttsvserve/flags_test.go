@@ -79,6 +79,9 @@ func TestCommandLineErrorsExitTwo(t *testing.T) {
 		{"-q 6", "-q"},
 		{"-b 0", "-b"},
 		{"-b -1", "-b"},
+		{"-workload cp -cpranks 0", "-cpranks"},
+		{"-workload cp -cpranks -2", "-cpranks"},
+		{"-workload cp -rank 0", "-rank 0"},
 	} {
 		checkFlagError(t, tc.args, tc.cause)
 	}

@@ -295,6 +295,14 @@ func main() {
 	default:
 		flagError(fmt.Errorf("unknown workload %q", *workload))
 	}
+	if *workload == "cp" {
+		switch {
+		case *cpRanks < 1:
+			flagError(fmt.Errorf("-cpranks %d: must be positive", *cpRanks))
+		case *cpRank < 1:
+			flagError(fmt.Errorf("-rank %d: must be positive", *cpRank))
+		}
+	}
 	if *nFlag > 0 && *workload == "dense" {
 		flagError(fmt.Errorf("-n applies to -workload hypergraph|cp only (dense: n = m·b)"))
 	}

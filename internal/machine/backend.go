@@ -67,7 +67,7 @@ type BackendWire interface {
 // distributed runs (fewer local ranks than machine size): the in-process
 // counting barrier cannot see remote ranks, so Comm.Barrier delegates to
 // the wire. Barrier blocks until all size ranks of the given epoch have
-// arrived and returns the global barrier generation (the trace's step
+// arrived and returns the global barrier generation (the trace's barrier
 // identifier, identical on all participants and monotonic across epochs).
 // A close of the abort channel — or a remote abort decision — wakes the
 // wait with ok == false; the caller unwinds with the abort sentinel.

@@ -23,7 +23,9 @@ const (
 	EventRecv
 	// EventBarrier records a rank passing a global barrier. Event.Step
 	// carries the barrier generation, identical across all P ranks of one
-	// synchronization, so a replayer can reconstruct the step structure.
+	// synchronization, so a replayer can synchronize them there. A
+	// barrier is not a schedule step: steps are stamped on the messages
+	// (Comm.BeginStep).
 	EventBarrier
 	// EventPhaseBegin and EventPhaseEnd bracket an algorithm phase on one
 	// rank; every event in between carries the phase's label.
@@ -126,8 +128,12 @@ type Event struct {
 	Op string
 	// Seq orders this rank's events: a per-rank counter starting at 0.
 	Seq int64
-	// Step is the global barrier generation for EventBarrier, -1
-	// otherwise.
+	// Step is the schedule step of a logical EventSend or EventRecv
+	// stamped by Comm.BeginStep, and the barrier generation of an
+	// EventBarrier; -1 on unstamped messages and on every other kind
+	// unless the kind documents its own use. A step is a property of the
+	// message, not of the barriers around it: the trace counts a phase's
+	// steps as its distinct stamps.
 	Step int
 	// Ternary is the ternary-multiplication count of an
 	// EventLocalCompute.
@@ -156,6 +162,7 @@ type rankObsState struct {
 	phase   string
 	op      string
 	opDepth int
+	step    int // schedule-step stamp of logical messages; -1 when unstamped
 	seq     atomic.Int64
 }
 
@@ -199,6 +206,21 @@ func (c *Comm) EndPhase() {
 	}
 	c.m.emit(c.rank, Event{Kind: EventPhaseEnd, From: c.rank, To: c.rank, Step: -1})
 	st.phase = ""
+	st.step = -1
+}
+
+// BeginStep stamps this rank's subsequent logical Send and Recv events
+// with schedule step s (Event.Step) until the next BeginStep or the end
+// of the phase. A step is a §7.2 matching — each rank sends and receives
+// at most one message in it — and the stamp is what a trace reader counts
+// and replays steps from; the barriers a rank crosses say nothing about
+// them. Steps are phase-scoped, so BeginStep outside a phase panics.
+func (c *Comm) BeginStep(s int) {
+	st := &c.m.obsState[c.rank]
+	if st.phase == "" {
+		panic(fmt.Sprintf("machine: rank %d: BeginStep(%d) outside any phase", c.rank, s))
+	}
+	st.step = s
 }
 
 // Phase returns this rank's current phase label ("" outside any phase).

@@ -96,6 +96,9 @@ func StartWith(p int, cfg RunConfig, body func(c *Comm)) (*Handle, error) {
 		recovering:  cfg.OnRankDown != nil,
 		start:       time.Now(),
 	}
+	for r := range m.obsState {
+		m.obsState[r].step = -1
+	}
 	m.barrier = newBarrier(p, m.localRanks)
 	for _, r := range locals {
 		w, err := be.NewWire(r, p)

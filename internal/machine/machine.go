@@ -152,7 +152,7 @@ func (c *Comm) Send(to, tag int, data []float64) {
 	cp := rs.pool.get(len(data))
 	copy(cp, data)
 	rs.sent.add(int64(len(data)))
-	c.m.emit(c.rank, Event{Kind: EventSend, From: c.rank, To: to, Tag: tag, Words: len(data), Step: -1})
+	c.m.emit(c.rank, Event{Kind: EventSend, From: c.rank, To: to, Tag: tag, Words: len(data), Step: c.m.obsState[c.rank].step})
 	c.diag.setBlocked(BlockSend, to, tag)
 	c.t.Send(to, tag, cp)
 	c.diag.setRunning()
@@ -199,7 +199,7 @@ func (c *Comm) recv(from, tag int) ([]float64, bool) {
 	data, recycle := c.t.Recv(from, tag)
 	c.diag.setRunning()
 	c.m.ranks[c.rank].recv.add(int64(len(data)))
-	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: -1})
+	c.m.emit(c.rank, Event{Kind: EventRecv, From: from, To: c.rank, Tag: tag, Words: len(data), Step: c.m.obsState[c.rank].step})
 	return data, recycle
 }
 
@@ -397,7 +397,7 @@ func (b *barrier) wakeAll(except int) {
 
 // await arrives and blocks until the generation completes, returning the
 // generation index (identical for all P participants of one
-// synchronization — the trace's step identifier). Allocation-free.
+// synchronization — the trace's barrier identifier). Allocation-free.
 // Returns -1 when the wait was cut short by an abort.
 func (b *barrier) await(rank int) int {
 	if b.aborted.Load() {

@@ -249,56 +249,86 @@ func (t *directTransport) Buffered() *PendingBuffer { return &t.buf }
 // word tallies kept current on every push and pop. The zero value is
 // ready to use. Only the owning rank writes; the lock lets the stall
 // watchdog read the tallies (entries) while it does.
+//
+// A one-superstep exchange serves most receives from here, so the queues
+// are held by pointer and live as long as the buffer: a push or pop
+// touches the queue in place instead of copying it, with its packets, in
+// and out of the map, and a (from, tag) that recurs every operation
+// reuses its queue's storage.
 type PendingBuffer struct {
 	mu   sync.Mutex
-	keys map[[2]int]pendingQueue
+	keys map[uint64]*pendingQueue // pendingKey(from, tag)
 }
 
+// pendingKey packs (from, tag) into one word, so the map takes its
+// fast 64-bit-key path.
+func pendingKey(from, tag int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(tag)) }
+
 type pendingQueue struct {
-	pkts        []Packet // oldest first; the storage is reused across pops
-	msgs, words int      // the queued packets plus those counted by Tally
+	pkts        []Packet // queued packets; pkts[head] is the oldest
+	head        int
+	msgs, words int // the queued packets plus those counted by Tally
 }
 
 // Push appends pkt to its (From, Tag) queue.
-func (b *PendingBuffer) Push(pkt Packet) { b.add(pkt, 1, true) }
+func (b *PendingBuffer) Push(pkt Packet) {
+	b.mu.Lock()
+	q := b.queue(pkt.From, pkt.Tag)
+	if q.head > 0 && len(q.pkts) == cap(q.pkts) {
+		// Full with popped slots in front: slide the live packets down
+		// instead of growing the storage.
+		n := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[n:])
+		q.pkts, q.head = q.pkts[:n], 0
+	}
+	q.pkts = append(q.pkts, pkt)
+	q.msgs++
+	q.words += len(pkt.Data)
+	b.mu.Unlock()
+}
 
 // Tally adds n (+1 or -1) copies of pkt to its (From, Tag) tallies without
 // queuing it, so packets a transport holds elsewhere — the reliable
 // transport's out-of-sequence arrivals — are reported as pending too.
-func (b *PendingBuffer) Tally(pkt Packet, n int) { b.add(pkt, n, false) }
-
-func (b *PendingBuffer) add(pkt Packet, n int, queue bool) {
+func (b *PendingBuffer) Tally(pkt Packet, n int) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.keys == nil {
-		b.keys = make(map[[2]int]pendingQueue)
-	}
-	key := [2]int{pkt.From, pkt.Tag}
-	q := b.keys[key]
-	if queue {
-		q.pkts = append(q.pkts, pkt)
-	}
+	q := b.queue(pkt.From, pkt.Tag)
 	q.msgs += n
 	q.words += n * len(pkt.Data)
-	b.keys[key] = q
+	b.mu.Unlock()
+}
+
+// queue returns the (from, tag) queue, creating it; b.mu must be held.
+func (b *PendingBuffer) queue(from, tag int) *pendingQueue {
+	if b.keys == nil {
+		b.keys = make(map[uint64]*pendingQueue)
+	}
+	key := pendingKey(from, tag)
+	q := b.keys[key]
+	if q == nil {
+		q = &pendingQueue{}
+		b.keys[key] = q
+	}
+	return q
 }
 
 // Pop removes and returns the oldest packet queued for (from, tag). The
 // buffer keeps no reference to the packet it hands out. A miss takes no
 // lock: the owning rank is the only writer, so its reads cannot race.
 func (b *PendingBuffer) Pop(from, tag int) (Packet, bool) {
-	key := [2]int{from, tag}
-	q := b.keys[key]
-	if len(q.pkts) == 0 {
+	q := b.keys[pendingKey(from, tag)]
+	if q == nil || q.head == len(q.pkts) {
 		return Packet{}, false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	pkt := q.pkts[0]
-	q.pkts = slices.Delete(q.pkts, 0, 1) // clears the vacated slot
+	pkt := q.pkts[q.head]
+	q.pkts[q.head] = Packet{} // drop the payload reference
+	if q.head++; q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0
+	}
 	q.msgs--
 	q.words -= len(pkt.Data)
-	b.keys[key] = q
 	return pkt, true
 }
 
@@ -313,7 +343,7 @@ func (b *PendingBuffer) entries() []PendingEntry {
 	var out []PendingEntry
 	for key, q := range b.keys {
 		if q.msgs > 0 {
-			out = append(out, PendingEntry{From: key[0], Tag: key[1], Msgs: q.msgs, Words: q.words})
+			out = append(out, PendingEntry{From: int(int32(key >> 32)), Tag: int(int32(key)), Msgs: q.msgs, Words: q.words})
 		}
 	}
 	slices.SortFunc(out, func(x, y PendingEntry) int {

@@ -146,6 +146,8 @@ func WriteTraceJSONL(w io.Writer, t *Trace) error {
 			Wall: e.Wall,
 		}
 		switch e.Kind {
+		case machine.EventSend, machine.EventRecv:
+			je.Step = e.Step + 1 // schedule-step stamp; shift so step 0 survives omitempty
 		case machine.EventBarrier:
 			je.Step = e.Step + 1 // shift so generation 0 survives omitempty
 		case machine.EventRecoveryBegin:
@@ -189,7 +191,7 @@ func ReadTraceJSONL(r io.Reader) (*Trace, error) {
 			Epoch: je.Epoch, Wall: je.Wall,
 		}
 		switch kind {
-		case machine.EventBarrier:
+		case machine.EventSend, machine.EventRecv, machine.EventBarrier:
 			e.Step = je.Step - 1
 		case machine.EventRecoveryBegin:
 			e.Step = je.Step

@@ -11,7 +11,7 @@
 // The layer closes the loop between the closed-form cost model
 // (internal/costmodel, internal/schedule) and measured runs: a trace of a
 // fault-free point-to-point Algorithm 5 run replays to exactly the
-// schedule's q³/2+3q²/2−1 barrier steps per phase and to the
+// schedule's q³/2+3q²/2−1 stamped steps per phase and to the
 // Σ(α + β·maxWords) makespan of schedule.Makespan, and its logical event
 // sums reproduce the machine.Report meters bit-for-bit — per rank and per
 // phase — even when a fault plan perturbs the wire underneath (the
@@ -127,8 +127,8 @@ func (t *Trace) Logical() *Trace {
 }
 
 // PhaseTotals aggregates one phase label's traffic across the whole
-// trace: per-rank logical words/messages sent and received, barrier step
-// count, and ternary multiplications. The same shape is produced for wire
+// trace: per-rank logical words/messages sent and received, schedule
+// step count, and ternary multiplications. The same shape is produced for wire
 // events by WireTotals.
 type PhaseTotals struct {
 	Label     string
@@ -137,8 +137,11 @@ type PhaseTotals struct {
 	SentMsgs  []int64
 	RecvMsgs  []int64
 	Ternary   []int64
-	// Steps counts the distinct barrier generations passed inside the
-	// phase (the §7.2 step count for a scheduled phase).
+	// Steps counts the distinct schedule steps stamped on the phase's
+	// messages (machine.Comm.BeginStep), each occurrence of the phase
+	// counted apart — the §7.2 step count for a scheduled phase, times
+	// the number of times it ran. Barriers do not count: one barrier can
+	// close a phase of many steps.
 	Steps int
 }
 
@@ -155,7 +158,7 @@ func newPhaseTotals(label string, p int) *PhaseTotals {
 }
 
 // accumulate folds one event into the totals.
-func (pt *PhaseTotals) accumulate(e machine.Event, steps map[int]bool) {
+func (pt *PhaseTotals) accumulate(e machine.Event) {
 	switch e.Kind {
 	case machine.EventSend:
 		pt.SentWords[e.Rank] += int64(e.Words)
@@ -163,17 +166,67 @@ func (pt *PhaseTotals) accumulate(e machine.Event, steps map[int]bool) {
 	case machine.EventRecv:
 		pt.RecvWords[e.Rank] += int64(e.Words)
 		pt.RecvMsgs[e.Rank]++
-	case machine.EventBarrier:
-		steps[e.Step] = true
 	case machine.EventLocalCompute:
 		pt.Ternary[e.Rank] += e.Ternary
 	}
 }
 
+// phaseOcc names one occurrence of a phase on a rank: the label and how
+// many times the rank had begun it before (a power method runs "gather"
+// once per iteration).
+type phaseOcc struct {
+	phase string
+	occ   int
+}
+
+// stepKey names one stamped schedule step of a phase occurrence.
+type stepKey struct {
+	phaseOcc
+	step int
+}
+
+// stepSet collects the distinct stamped steps of a trace. Feed it each
+// rank's events in emission order (the canonical order does): it numbers
+// a rank's phase occurrences from its EventPhaseBegin markers, so the
+// k-th "gather" of every rank lands in the same occurrence.
+type stepSet struct {
+	rank int
+	occ  map[string]int
+	seen map[stepKey]bool
+}
+
+func newStepSet() *stepSet {
+	return &stepSet{rank: -1, seen: make(map[stepKey]bool)}
+}
+
+// note folds one event in.
+func (s *stepSet) note(e machine.Event) {
+	if e.Rank != s.rank {
+		s.rank, s.occ = e.Rank, make(map[string]int)
+	}
+	switch e.Kind {
+	case machine.EventPhaseBegin:
+		s.occ[e.Phase]++
+	case machine.EventSend, machine.EventRecv:
+		if e.Step >= 0 && !e.Wire {
+			s.seen[stepKey{phaseOcc{e.Phase, s.occ[e.Phase]}, e.Step}] = true
+		}
+	}
+}
+
+// perPhase returns the distinct steps of each phase label.
+func (s *stepSet) perPhase() map[string]int {
+	out := make(map[string]int)
+	for k := range s.seen {
+		out[k.phase]++
+	}
+	return out
+}
+
 // totalsOf aggregates events passing the filter, grouped by phase label.
 func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
 	totals := make(map[string]*PhaseTotals)
-	steps := make(map[string]map[int]bool)
+	steps := newStepSet()
 	var order []string
 	for _, e := range t.Events {
 		if e.Wire != wire {
@@ -183,13 +236,14 @@ func (t *Trace) totalsOf(wire bool) (map[string]*PhaseTotals, []string) {
 		if !ok {
 			pt = newPhaseTotals(e.Phase, t.P)
 			totals[e.Phase] = pt
-			steps[e.Phase] = make(map[int]bool)
 			order = append(order, e.Phase)
 		}
-		pt.accumulate(e, steps[e.Phase])
+		pt.accumulate(e)
+		steps.note(e)
 	}
+	counts := steps.perPhase()
 	for label, pt := range totals {
-		pt.Steps = len(steps[label])
+		pt.Steps = counts[label]
 	}
 	return totals, order
 }
@@ -211,14 +265,15 @@ func (t *Trace) WireTotals() (map[string]*PhaseTotals, []string) {
 // shape of a machine.Report's logical meters.
 func (t *Trace) RankTotals() *PhaseTotals {
 	out := newPhaseTotals("", t.P)
-	steps := make(map[int]bool)
+	steps := newStepSet()
 	for _, e := range t.Events {
 		if e.Wire {
 			continue
 		}
-		out.accumulate(e, steps)
+		out.accumulate(e)
+		steps.note(e)
 	}
-	out.Steps = len(steps)
+	out.Steps = len(steps.seen)
 	return out
 }
 
@@ -285,7 +340,7 @@ func (t *Trace) CheckAgainstReport(rep *machine.Report) error {
 // it degenerates to RankTotals.
 func (t *Trace) CommittedTotals() *PhaseTotals {
 	out := newPhaseTotals("", t.P)
-	steps := make(map[int]bool)
+	steps := newStepSet()
 	for _, evs := range t.PerRank() {
 		kept := make([]machine.Event, 0, len(evs))
 		for _, e := range evs {
@@ -300,11 +355,12 @@ func (t *Trace) CommittedTotals() *PhaseTotals {
 		}
 		for _, e := range kept {
 			if !e.Wire {
-				out.accumulate(e, steps)
+				out.accumulate(e)
+				steps.note(e)
 			}
 		}
 	}
-	out.Steps = len(steps)
+	out.Steps = len(steps.seen)
 	return out
 }
 

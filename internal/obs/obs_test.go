@@ -15,8 +15,9 @@ import (
 )
 
 // runPipeline is a tiny deterministic phased program: rank 0 sends r
-// words to each other rank inside phase "spread", everyone barriers,
-// then each rank reports a local-compute stage inside phase "work".
+// words to each other rank inside phase "spread", stamped as step 0,
+// everyone barriers, then each rank reports a local-compute stage inside
+// phase "work".
 func runPipeline(t *testing.T, p int) (*Trace, *machine.Report) {
 	t.Helper()
 	var rec Recorder
@@ -25,6 +26,7 @@ func runPipeline(t *testing.T, p int) (*Trace, *machine.Report) {
 		Observer: rec.Observer(),
 	}, func(c *machine.Comm) {
 		c.BeginPhase("spread")
+		c.BeginStep(0)
 		if c.Rank() == 0 {
 			for to := 1; to < p; to++ {
 				c.Send(to, 7, make([]float64, to))
@@ -88,19 +90,21 @@ func TestTraceCanonicalOrderAndPhaseTotals(t *testing.T) {
 			t.Errorf("work rank %d ternary = %d", r, work.Ternary[r])
 		}
 	}
-	if work.Steps != 1 {
-		t.Errorf("work steps = %d, want 1", work.Steps)
+	// A barrier is not a schedule step: "work" moves no stamped message.
+	if work.Steps != 0 {
+		t.Errorf("work steps = %d, want 0", work.Steps)
 	}
 }
 
 func TestReplayAnalytic(t *testing.T) {
-	// Two ranks, one 4-word message 0→1 then a barrier: every clock is
-	// computable by hand under α=1, β=0.5, γ=0.
+	// Two ranks, one 4-word message 0→1 (step 0) then a barrier: every
+	// clock is computable by hand under α=1, β=0.5, γ=0.
 	var rec Recorder
 	_, err := machine.RunWith(2, machine.RunConfig{
 		Timeout: 5 * time.Second, Observer: rec.Observer(),
 	}, func(c *machine.Comm) {
 		c.BeginPhase("p")
+		c.BeginStep(0)
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]float64, 4))
 		} else {
@@ -413,69 +417,129 @@ func TestServingMetricsJSONL(t *testing.T) {
 }
 
 // TestReplaySuperstepOrderKeepsMakespan replays one two-step exchange in
-// both per-step orders a rank can use — send, receive, barrier; or send,
-// barrier, receive (the superstep order parallel.Session runs) — and
-// checks the replay charges them identically: the same makespan and the
-// same per-rank finish and send time. Only the waiting moves: in the
-// superstep order every message has landed by the time the barrier opens,
-// so the time a rank spent waiting on a receive becomes barrier wait.
+// the three orders a rank can run it in — per step send, receive,
+// barrier; per step send, barrier, receive; or every send, one barrier,
+// every receive (the one-superstep order parallel.Session runs) — and
+// checks the replay charges them identically: the same makespan, step
+// count, and per-rank finish and send time. Only the waiting moves: once
+// receives follow a barrier, every message has landed by the time they
+// run, so the time a rank spent waiting on a receive becomes barrier
+// wait — at the real barrier, or at the virtual one the replay puts
+// between stamped steps.
 func TestReplaySuperstepOrderKeepsMakespan(t *testing.T) {
 	const p, steps = 3, 2
 	words := [p][steps]int{{5, 1}, {2, 7}, {9, 3}}
-	trace := func(recvFirst bool) *Trace {
+	const (
+		recvFirst = iota
+		barrierFirst
+		coalesced
+	)
+	trace := func(order int) *Trace {
 		var events []machine.Event
 		for r := 0; r < p; r++ {
 			var seq int64
 			add := func(e machine.Event) {
-				e.Rank, e.Seq = r, seq
+				e.Rank, e.Seq, e.Phase = r, seq, "x"
 				seq++
 				events = append(events, e)
 			}
 			from := (r + p - 1) % p
-			for s := 0; s < steps; s++ {
-				send := machine.Event{Kind: machine.EventSend, From: r, To: (r + 1) % p, Tag: 100 + s, Words: words[r][s], Step: -1}
-				recv := machine.Event{Kind: machine.EventRecv, From: from, To: r, Tag: 100 + s, Words: words[from][s], Step: -1}
-				barrier := machine.Event{Kind: machine.EventBarrier, From: r, To: r, Step: s}
-				add(send)
-				if recvFirst {
-					add(recv)
-					add(barrier)
-				} else {
-					add(barrier)
-					add(recv)
+			send := func(s int) {
+				add(machine.Event{Kind: machine.EventSend, From: r, To: (r + 1) % p, Tag: 100 + s, Words: words[r][s], Step: s})
+			}
+			recv := func(s int) {
+				add(machine.Event{Kind: machine.EventRecv, From: from, To: r, Tag: 100 + s, Words: words[from][s], Step: s})
+			}
+			barrier := func(gen int) { add(machine.Event{Kind: machine.EventBarrier, From: r, To: r, Step: gen}) }
+			add(machine.Event{Kind: machine.EventPhaseBegin, From: r, To: r, Step: -1})
+			switch order {
+			case coalesced:
+				for s := 0; s < steps; s++ {
+					send(s)
+				}
+				barrier(0)
+				for s := 0; s < steps; s++ {
+					recv(s)
+				}
+			default:
+				for s := 0; s < steps; s++ {
+					send(s)
+					if order == recvFirst {
+						recv(s)
+						barrier(s)
+					} else {
+						barrier(s)
+						recv(s)
+					}
 				}
 			}
+			add(machine.Event{Kind: machine.EventPhaseEnd, From: r, To: r, Step: -1})
 		}
 		return NewTrace(events)
 	}
 	model := TimeModel{Alpha: 1, Beta: 0.5, Gamma: 0}
-	old, err := Replay(trace(true), model)
-	if err != nil {
-		t.Fatal(err)
+	var tls [3]*Timeline
+	for order := range tls {
+		tl, err := Replay(trace(order), model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tls[order] = tl
 	}
-	super, err := Replay(trace(false), model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := tls[recvFirst]
 	// Each step costs the longest message: max(1+0.5·w) over the senders.
-	if want := (1 + 0.5*9) + (1 + 0.5*7); old.Makespan() != want || super.Makespan() != want {
-		t.Fatalf("makespan: send-recv-barrier %g, send-barrier-recv %g, want %g", old.Makespan(), super.Makespan(), want)
+	want := (1 + 0.5*9) + (1 + 0.5*7)
+	for order, tl := range tls {
+		if tl.Makespan() != want || tl.PhaseTime("x") != want {
+			t.Errorf("order %d: makespan %g, phase time %g, want %g", order, tl.Makespan(), tl.PhaseTime("x"), want)
+		}
+		if tl.PhaseSteps["x"] != steps {
+			t.Errorf("order %d: %d steps, want %d", order, tl.PhaseSteps["x"], steps)
+		}
+		if order == recvFirst {
+			continue
+		}
+		for r := 0; r < p; r++ {
+			if old.Finish[r] != tl.Finish[r] || old.SendTime[r] != tl.SendTime[r] {
+				t.Errorf("order %d rank %d: finish %g/%g, send %g/%g differ from send-recv-barrier",
+					order, r, tl.Finish[r], old.Finish[r], tl.SendTime[r], old.SendTime[r])
+			}
+			if tl.RecvWait[r] != 0 {
+				t.Errorf("order %d rank %d: waits %g on a receive, want 0", order, r, tl.RecvWait[r])
+			}
+			if got, want := tl.BarrierWait[r], old.BarrierWait[r]+old.RecvWait[r]; got != want {
+				t.Errorf("order %d rank %d: barrier wait %g, want old barrier+recv wait %g", order, r, got, want)
+			}
+		}
 	}
 	moved := 0.0
 	for r := 0; r < p; r++ {
-		if old.Finish[r] != super.Finish[r] || old.SendTime[r] != super.SendTime[r] {
-			t.Errorf("rank %d: finish %g/%g, send %g/%g differ between orders",
-				r, old.Finish[r], super.Finish[r], old.SendTime[r], super.SendTime[r])
-		}
-		if super.RecvWait[r] != 0 {
-			t.Errorf("rank %d: superstep order waits %g on a receive, want 0", r, super.RecvWait[r])
-		}
-		if got, want := super.BarrierWait[r], old.BarrierWait[r]+old.RecvWait[r]; got != want {
-			t.Errorf("rank %d: superstep barrier wait %g, want old barrier+recv wait %g", r, got, want)
-		}
 		moved += old.RecvWait[r]
 	}
 	if moved == 0 {
 		t.Fatal("fixture has no receive wait to move; pick word counts that make a rank wait")
+	}
+}
+
+// TestReplayRejectsSendsOutOfStepOrder: a rank that posts a later step's
+// send before an earlier one's breaks the one-port step order the replay
+// charges, and the replay names it instead of deadlocking on it.
+func TestReplayRejectsSendsOutOfStepOrder(t *testing.T) {
+	var events []machine.Event
+	for r := 0; r < 2; r++ {
+		evs := []machine.Event{
+			{Kind: machine.EventPhaseBegin, From: r, To: r, Step: -1},
+			{Kind: machine.EventSend, From: r, To: 1 - r, Tag: 101, Words: 1, Step: 1},
+			{Kind: machine.EventSend, From: r, To: 1 - r, Tag: 100, Words: 1, Step: 0},
+			{Kind: machine.EventPhaseEnd, From: r, To: r, Step: -1},
+		}
+		for i, e := range evs {
+			e.Rank, e.Seq, e.Phase = r, int64(i), "x"
+			events = append(events, e)
+		}
+	}
+	_, err := Replay(NewTrace(events), DefaultTimeModel())
+	if err == nil || !strings.Contains(err.Error(), "sends step 1 before step 0") {
+		t.Fatalf("Replay error = %v, want the out-of-order send named", err)
 	}
 }

@@ -15,8 +15,11 @@ import (
 // transfer completes (sends and receives overlap on the bidirectional
 // links of the model), and a local-compute stage of T ternary
 // multiplications costs T·Gamma seconds. Barriers cost no time of their
-// own — they only synchronize, exactly as the stepwise semantics of §7.2
-// assume.
+// own — they only synchronize. Messages stamped with a schedule step
+// (machine.Comm.BeginStep) are charged the one-port step semantics of
+// §7.2: within one occurrence of a phase, a step-s message starts only
+// once every step-(s−1) message has finished, however the ranks ordered
+// their sends and receives around their barriers.
 type TimeModel struct {
 	// Alpha is the per-message latency in seconds.
 	Alpha float64
@@ -83,8 +86,10 @@ type Timeline struct {
 	// Spans holds each rank's timeline intervals in time order
 	// (phase spans first, then the fine-grained slices inside them).
 	Spans [][]Span
-	// PhaseSteps maps each phase label to the number of distinct barrier
-	// generations passed inside it (the §7.2 communication step count).
+	// PhaseSteps maps each phase label to the number of distinct
+	// schedule steps stamped on its messages, each occurrence of the
+	// phase counted apart (the §7.2 communication step count, see
+	// PhaseTotals.Steps).
 	PhaseSteps map[string]int
 	// PhaseOrder lists phase labels in first-appearance order.
 	PhaseOrder []string
@@ -132,6 +137,76 @@ type msgKey struct{ from, to, tag int }
 // transfer is one in-flight message's interval on the simulated clock.
 type transfer struct{ start, finish float64 }
 
+// phaseRun is one occurrence of a phase across the ranks — the k-th
+// EventPhaseBegin of that label on every rank that has one — and the
+// state its one-port step charging needs.
+type phaseRun struct {
+	begin  []int           // per rank: index of its EventPhaseBegin, -1 if it does not take part
+	end    []int           // per rank: index of its last event in the occurrence
+	entry  float64         // latest clock at which a participant began
+	finish map[int]float64 // step -> latest transfer finish of the step's sends
+	ready  map[int]float64 // step -> time every earlier step had finished
+}
+
+// stepRuns indexes the logical trace's phase occurrences: which run each
+// event belongs to (-1 outside any) and, for each event inside a run, the
+// stamp of the rank's next stamped send in it (math.MaxInt when none is
+// left). A rank must post a run's stamped sends in non-decreasing step
+// order — the order a step schedule runs in.
+func stepRuns(perRank [][]machine.Event) (runs []*phaseRun, runOf, nextSend [][]int, err error) {
+	p := len(perRank)
+	index := make(map[phaseOcc]int)
+	runOf = make([][]int, p)
+	nextSend = make([][]int, p)
+	for r, evs := range perRank {
+		runOf[r] = make([]int, len(evs))
+		nextSend[r] = make([]int, len(evs))
+		occ := make(map[string]int)
+		cur := -1
+		for i, e := range evs {
+			if e.Kind == machine.EventPhaseBegin {
+				key := phaseOcc{e.Phase, occ[e.Phase]}
+				occ[e.Phase]++
+				ri, ok := index[key]
+				if !ok {
+					ri = len(runs)
+					index[key] = ri
+					ph := &phaseRun{begin: make([]int, p), end: make([]int, p),
+						finish: make(map[int]float64), ready: make(map[int]float64)}
+					for q := range ph.begin {
+						ph.begin[q] = -1
+					}
+					runs = append(runs, ph)
+				}
+				cur = ri
+				runs[cur].begin[r] = i
+			}
+			runOf[r][i] = cur
+			if cur >= 0 {
+				runs[cur].end[r] = i
+			}
+			if e.Kind == machine.EventPhaseEnd {
+				cur = -1
+			}
+		}
+		next := math.MaxInt
+		for i := len(evs) - 1; i >= 0; i-- {
+			if runOf[r][i] < 0 || (i+1 < len(evs) && runOf[r][i+1] != runOf[r][i]) {
+				next = math.MaxInt
+			}
+			if e := evs[i]; e.Kind == machine.EventSend && e.Step >= 0 && runOf[r][i] >= 0 {
+				if e.Step > next {
+					return nil, nil, nil, fmt.Errorf("obs: rank %d phase %q sends step %d before step %d (seq %d)",
+						r, e.Phase, e.Step, next, e.Seq)
+				}
+				next = e.Step
+			}
+			nextSend[r][i] = next
+		}
+	}
+	return runs, runOf, nextSend, nil
+}
+
 // Replay executes the logical events of t on a simulated clock under
 // model m. The trace must be complete (every recv matched by a send,
 // every barrier generation reached by all ranks) — the trace of any
@@ -150,8 +225,18 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 		BarrierWait: make([]float64, p),
 		Overlap:     make([]float64, p),
 		Spans:       make([][]Span, p),
-		PhaseSteps:  make(map[string]int),
 	}
+	runs, runOf, nextSend, err := stepRuns(perRank)
+	if err != nil {
+		return nil, err
+	}
+	steps := newStepSet()
+	for _, evs := range perRank {
+		for _, e := range evs {
+			steps.note(e)
+		}
+	}
+	tl.PhaseSteps = steps.perPhase()
 
 	idx := make([]int, p)
 	clock := make([]float64, p)
@@ -160,34 +245,56 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	barrArriveAt := make(map[int][]float64) // generation -> per-rank arrival clock
 	barrCount := make(map[int]int)
 	phaseStart := make([]float64, p)
-	phaseStepSeen := make(map[string]map[int]bool)
+	phaseSeen := make(map[string]bool)
 
-	noteStep := func(label string, gen int) {
-		seen, ok := phaseStepSeen[label]
-		if !ok {
-			seen = make(map[int]bool)
-			phaseStepSeen[label] = seen
-			if label != "" {
-				tl.PhaseOrder = append(tl.PhaseOrder, label)
+	// stepReady reports when step s of run ph may start: once every
+	// participant has begun the occurrence and posted all its sends of
+	// earlier steps, it is the latest of their entry clocks and those
+	// sends' transfer finishes — a virtual barrier closing step s−1.
+	stepReady := func(ph *phaseRun, s int) (float64, bool) {
+		if at, ok := ph.ready[s]; ok {
+			return at, true
+		}
+		for r := 0; r < p; r++ {
+			switch b := ph.begin[r]; {
+			case b < 0 || idx[r] > ph.end[r]:
+			case idx[r] <= b || nextSend[r][idx[r]] < s:
+				return 0, false
 			}
 		}
-		seen[gen] = true
-	}
-	notePhase := func(label string) {
-		if _, ok := phaseStepSeen[label]; !ok {
-			phaseStepSeen[label] = make(map[int]bool)
-			if label != "" {
-				tl.PhaseOrder = append(tl.PhaseOrder, label)
+		at := ph.entry
+		for st, f := range ph.finish {
+			if st < s && f > at {
+				at = f
 			}
 		}
+		ph.ready[s] = at
+		return at, true
 	}
 
 	// step processes rank r's next event; it returns false when the rank
-	// is blocked (recv not yet sent, barrier generation incomplete).
+	// is blocked (recv not yet sent, barrier generation or earlier step
+	// incomplete).
 	step := func(r int) bool {
 		e := perRank[r][idx[r]]
 		switch e.Kind {
 		case machine.EventSend:
+			var ph *phaseRun
+			if ri := runOf[r][idx[r]]; ri >= 0 && e.Step >= 0 {
+				ph = runs[ri]
+			}
+			if ph != nil && e.Step > 0 {
+				at, ok := stepReady(ph, e.Step)
+				if !ok {
+					return false
+				}
+				if wait := at - clock[r]; wait > 0 {
+					tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanBarrierWait,
+						Label: fmt.Sprintf("step %d", e.Step), Start: clock[r], End: at})
+					tl.BarrierWait[r] += wait
+					clock[r] = at
+				}
+			}
 			dt := m.Alpha + m.Beta*float64(e.Words)
 			tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanSend,
 				Label: fmt.Sprintf("→%d tag %d %dw", e.To, e.Tag, e.Words),
@@ -196,6 +303,9 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 			inFlight[k] = append(inFlight[k], transfer{clock[r], clock[r] + dt})
 			clock[r] += dt
 			tl.SendTime[r] += dt
+			if ph != nil && clock[r] > ph.finish[e.Step] {
+				ph.finish[e.Step] = clock[r]
+			}
 
 		case machine.EventRecv:
 			k := msgKey{e.From, e.To, e.Tag}
@@ -242,15 +352,22 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 			}
 			if wait := done - clock[r]; wait > 0 {
 				tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanBarrierWait,
-					Label: fmt.Sprintf("step %d", gen), Start: clock[r], End: done})
+					Label: fmt.Sprintf("barrier %d", gen), Start: clock[r], End: done})
 				tl.BarrierWait[r] += wait
 				clock[r] = done
 			}
-			noteStep(e.Phase, gen)
 
 		case machine.EventPhaseBegin:
 			phaseStart[r] = clock[r]
-			notePhase(e.Phase)
+			if ri := runOf[r][idx[r]]; ri >= 0 && clock[r] > runs[ri].entry {
+				runs[ri].entry = clock[r]
+			}
+			if !phaseSeen[e.Phase] {
+				phaseSeen[e.Phase] = true
+				if e.Phase != "" {
+					tl.PhaseOrder = append(tl.PhaseOrder, e.Phase)
+				}
+			}
 
 		case machine.EventPhaseEnd:
 			tl.Spans[r] = append(tl.Spans[r], Span{Rank: r, Kind: SpanPhase,
@@ -298,9 +415,6 @@ func Replay(t *Trace, m TimeModel) (*Timeline, error) {
 	}
 
 	copy(tl.Finish, clock)
-	for label, seen := range phaseStepSeen {
-		tl.PhaseSteps[label] = len(seen)
-	}
 	// Phase spans were appended at EventPhaseEnd, after the slices inside
 	// them; re-sort each rank's spans by (start, -end) so containers come
 	// first — the order Chrome's trace viewer expects.

@@ -24,9 +24,10 @@
 //     term (§7.2.2, "Communication cost of our algorithm with All-to-All
 //     collectives").
 //
-// Both wirings are layout data for one exchange loop: each step is a BSP
-// superstep (post the step's send, cross the barrier, drain the step's
-// receive). The All-to-All runs as the P−1-step pairwise exchange, every
+// Both wirings are layout data for one exchange loop: each phase is one
+// BSP superstep (post every step's send, cross one barrier, drain the
+// receives in step order), and each message is stamped with its schedule
+// step. The All-to-All runs as the P−1-step pairwise exchange, every
 // message zero-filled to its fixed width.
 //
 // RunRowBaseline implements the natural 1D row partition (all-gather x,

@@ -20,8 +20,9 @@ import (
 // until Close. Between operations the ranks park on a host-fed op queue
 // (Comm.AwaitHost), so the machine, its transports, the packed tensor
 // blocks, and every pack/unpack buffer survive from one application to the
-// next. After one warm-up application the per-rank exchange path (pack →
-// Send → Barrier → RecvInto → unpack) performs no allocations.
+// next. After one warm-up application the per-rank exchange path (pack
+// and Send every step, one Barrier, RecvInto and unpack every step)
+// performs no allocations.
 //
 // Results are bit-identical to the one-shot Run/RunPowerMethod/RunMTTKRP
 // (which are implemented on top of Session), and each operation's Result
@@ -297,38 +298,54 @@ func (rk *sessionRank) unpackAdd(payload, arena []float64, segs []segment, cols 
 // reduce-scatter adds the peers' partials into the owned y chunks. Both
 // wirings run through it: the point-to-point schedule sends exact
 // payloads, the All-to-All's pairwise steps zero-fill every message to the
-// fixed width. Each step is a BSP superstep: post the step's send, cross
-// the barrier, then drain the step's receive. A message posted in a step
-// has been delivered by the time that step's barrier opens, so on the
-// direct transport the receive finds it waiting and a rank parks once per
-// step (at the barrier) instead of once more for a sender that has not run
-// yet. A step's receive still precedes the next step's send, so the data
-// each rank forwards is what the schedule expects.
+// fixed width.
+//
+// A phase is one BSP superstep: post every step's send in step order,
+// cross one barrier, then drain the receives in step order. That is
+// sound because no step forwards data another step delivers — a gather
+// send carries the rank's own chunks, a reduce-scatter send the partials
+// the local phase left, and neither is written by a receive — so every
+// payload is final before the phase begins. The reduce-scatter still adds
+// peer partials in step order, so the Y bits are those of a run that
+// synchronizes every step. The §7.2 step survives as a property of each
+// message: BeginStep stamps it on the Send and Recv events, and the trace
+// counts and replays steps from the stamps.
 func (rk *sessionRank) exchange(c *machine.Comm, cols int, gather bool) {
 	arena, tag := rk.xA, 100
 	if !gather {
 		arena, tag = rk.yA, 200
 	}
-	for si := range rk.lay.steps {
-		st := &rk.lay.steps[si]
-		sendSegs, sendW, recvSegs, recvW := st.gSend, st.gSendW, st.gRecv, st.gRecvW
+	steps := rk.lay.steps
+	for si := range steps {
+		st := &steps[si]
+		if st.sendTo < 0 {
+			continue
+		}
+		segs, w := st.gSend, st.gSendW*cols
 		if !gather {
-			sendSegs, sendW, recvSegs, recvW = st.sSend, st.sSendW, st.sRecv, st.sRecvW
+			segs, w = st.sSend, st.sSendW*cols
 		}
-		if st.sendTo >= 0 {
-			n, w := rk.pack(rk.sendBuf, arena, sendSegs, cols), sendW*cols
-			clear(rk.sendBuf[n:w]) // All-to-All padding; empty under P2P
-			c.Send(st.sendTo, tag+si, rk.sendBuf[:w])
+		n := rk.pack(rk.sendBuf, arena, segs, cols)
+		clear(rk.sendBuf[n:w]) // All-to-All padding; empty under P2P
+		c.BeginStep(si)
+		c.Send(st.sendTo, tag+si, rk.sendBuf[:w])
+	}
+	c.Barrier()
+	for si := range steps {
+		st := &steps[si]
+		if st.recvFrom < 0 {
+			continue
 		}
-		c.Barrier() // stepwise semantics of §7.2
-		if st.recvFrom >= 0 {
-			w := recvW * cols
-			c.RecvInto(st.recvFrom, tag+si, rk.recvBuf[:w])
-			if gather {
-				rk.unpackCopy(rk.recvBuf[:w], arena, recvSegs, cols)
-			} else {
-				rk.unpackAdd(rk.recvBuf[:w], arena, recvSegs, cols)
-			}
+		w := st.gRecvW * cols
+		if !gather {
+			w = st.sRecvW * cols
+		}
+		c.BeginStep(si)
+		c.RecvInto(st.recvFrom, tag+si, rk.recvBuf[:w])
+		if gather {
+			rk.unpackCopy(rk.recvBuf[:w], arena, st.gRecv, cols)
+		} else {
+			rk.unpackAdd(rk.recvBuf[:w], arena, st.sRecv, cols)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -275,72 +276,96 @@ func TestTraceConformancePowerMethod(t *testing.T) {
 	}
 }
 
-// TestP2PStepReceivesFollowBarrier pins the superstep order of the
-// point-to-point exchange: on every rank, in both phases, step s's send
-// (tag 100+s in the gather, 200+s in the reduce-scatter) is posted after
-// the rank's previous barrier and before step s's barrier, and the
-// matching receive is drained after step s's barrier and before the next
-// one. A receive ahead of its step's barrier would make the rank wait for
-// a sender that may not have run yet.
-func TestP2PStepReceivesFollowBarrier(t *testing.T) {
-	const q = 2
-	part := sphericalPart(t, q)
-	b := 6
-	n := part.M * b
-	var rec obs.Recorder
-	s, err := OpenSession(tensor.Random(n, rand.New(rand.NewSource(9))), Options{
-		Part: part, B: b, Wiring: WiringP2P,
-		Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Apply(randVec(n, rand.New(rand.NewSource(10)))); err != nil {
-		t.Fatal(err)
-	}
-	steps := schedule.TheoreticalSteps(q)
-	checked := 0
-	for r, evs := range rec.Trace().Logical().PerRank() {
-		for _, ph := range []struct {
-			label string
-			base  int
-		}{{"gather", 100}, {"reduce-scatter", 200}} {
-			// barriers[s] is the position of step s's barrier in the
-			// rank's event sequence; -1 and len(evs) bound the first and
-			// last steps.
-			barriers := []int{-1}
-			for i, e := range evs {
-				if e.Phase == ph.label && e.Kind == machine.EventBarrier {
-					barriers = append(barriers, i)
-				}
+// TestExchangeStepsAreStampedMatchings pins the step structure of the
+// one-superstep exchange from its trace, for both wirings and both
+// phases at q=2 and q=3. A phase crosses one barrier, so the §7.2 step
+// lives on the messages (machine.Comm.BeginStep), and the stamps must
+// describe the schedule exactly:
+//   - every message's stamp is the step its tag encodes (100+s in the
+//     gather, 200+s in the reduce-scatter), and (from, to) is a pair of
+//     that step's matching — the schedule's transfers under P2P, the
+//     pairwise shift r → r+s+1 mod P under All-to-All;
+//   - a rank sends at most once and receives at most once per step;
+//   - a phase has exactly q³/2+3q²/2−1 (P2P) or P−1 (All-to-All)
+//     distinct steps, counted here and by obs.Trace.PhaseTotals;
+//   - each rank posts its sends, and drains its receives, in ascending
+//     step order — the reduce-scatter adds peer partials in that order.
+func TestExchangeStepsAreStampedMatchings(t *testing.T) {
+	for _, q := range []int{2, 3} {
+		part := sphericalPart(t, q)
+		sched, err := schedule.Build(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wiring := range []Wiring{WiringP2P, WiringAllToAll} {
+			b := q * (q + 1)
+			n := part.M * b
+			var rec obs.Recorder
+			if _, err := Run(tensor.Random(n, rand.New(rand.NewSource(9))), randVec(n, rand.New(rand.NewSource(10))), Options{
+				Part: part, Sched: sched, B: b, Wiring: wiring,
+				Machine: machine.RunConfig{Timeout: 10 * time.Second, Observer: rec.Observer()},
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if len(barriers)-1 != steps {
-				t.Fatalf("rank %d %s: %d barriers, want %d", r, ph.label, len(barriers)-1, steps)
+			steps := schedule.TheoreticalSteps(q)
+			inMatching := func(s, from, to int) bool {
+				if wiring == WiringAllToAll {
+					return to == (from+s+1)%part.P
+				}
+				for _, tr := range sched.Steps[s] {
+					if tr.From == from && tr.To == to {
+						return true
+					}
+				}
+				return false
 			}
-			barriers = append(barriers, len(evs))
-			for i, e := range evs {
-				if e.Phase != ph.label || (e.Kind != machine.EventSend && e.Kind != machine.EventRecv) {
-					continue
+			if wiring == WiringAllToAll {
+				steps = part.P - 1
+			}
+			tr := rec.Trace()
+			totals, _ := tr.PhaseTotals()
+			for _, ph := range []struct {
+				label string
+				base  int
+			}{{"gather", 100}, {"reduce-scatter", 200}} {
+				where := func(r int) string { return fmt.Sprintf("q=%d %v rank %d %s", q, wiring, r, ph.label) }
+				seen := make(map[int]bool)
+				for r, evs := range tr.Logical().PerRank() {
+					lastSend, lastRecv := -1, -1
+					for _, e := range evs {
+						if e.Phase != ph.label || (e.Kind != machine.EventSend && e.Kind != machine.EventRecv) {
+							continue
+						}
+						s := e.Step
+						if s < 0 || s >= steps {
+							t.Fatalf("%s: %s tag %d stamped step %d, outside 0..%d", where(r), e.Kind, e.Tag, s, steps-1)
+						}
+						if e.Tag-ph.base != s {
+							t.Errorf("%s: %s tag %d encodes step %d, stamped %d", where(r), e.Kind, e.Tag, e.Tag-ph.base, s)
+						}
+						if !inMatching(s, e.From, e.To) {
+							t.Errorf("%s: %s %d→%d is not a pair of step %d", where(r), e.Kind, e.From, e.To, s)
+						}
+						last := &lastSend
+						if e.Kind == machine.EventRecv {
+							last = &lastRecv
+						}
+						if s == *last {
+							t.Errorf("%s: two %ss in step %d", where(r), e.Kind, s)
+						} else if s < *last {
+							t.Errorf("%s: %s of step %d after step %d", where(r), e.Kind, s, *last)
+						}
+						*last = s
+						seen[s] = true
+					}
 				}
-				st := e.Tag - ph.base
-				if st < 0 || st >= steps {
-					t.Fatalf("rank %d %s: tag %d outside the phase's steps", r, ph.label, e.Tag)
+				if len(seen) != steps {
+					t.Errorf("q=%d %v %s: %d distinct stamped steps, want %d", q, wiring, ph.label, len(seen), steps)
 				}
-				// barriers[st+1] is step st's barrier.
-				lo, hi := barriers[st], barriers[st+1]
-				if e.Kind == machine.EventRecv {
-					lo, hi = barriers[st+1], barriers[st+2]
+				if pt := totals[ph.label]; pt == nil || pt.Steps != steps {
+					t.Errorf("q=%d %v %s: PhaseTotals = %+v, want %d steps", q, wiring, ph.label, pt, steps)
 				}
-				if i <= lo || i >= hi {
-					t.Errorf("rank %d %s: %s tag %d (step %d) at event %d, want it strictly between events %d and %d",
-						r, ph.label, e.Kind, e.Tag, st, i, lo, hi)
-				}
-				checked++
 			}
 		}
-	}
-	if checked == 0 {
-		t.Fatal("trace holds no point-to-point messages")
 	}
 }

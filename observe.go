@@ -58,7 +58,7 @@ type Trace = obs.Trace
 func NewTrace(events []Event) *Trace { return obs.NewTrace(events) }
 
 // PhaseTotals aggregates one phase label's trace traffic (per-rank words,
-// messages, ternary multiplications, and barrier step count).
+// messages, ternary multiplications, and stamped schedule step count).
 type PhaseTotals = obs.PhaseTotals
 
 // PhaseMeter is one labeled phase's per-rank meters in a ParallelResult:
